@@ -188,6 +188,10 @@ def _cmd_extend_iso(ns) -> tuple[int, dict, list[str], list[str]]:
             or not all(isinstance(side, list) for side in item)
         ):
             raise ValueError(f"phi[{i}]: expected a pair of id arrays")
+        for j, side in enumerate(item):
+            for k, pid in enumerate(side):
+                if not isinstance(pid, str):
+                    raise ValueError(f"phi[{i}][{j}][{k}]: expected a string")
         pairs.append((item[0], item[1]))
     eta, verified = semilattice.extend_iso(ma, mb, pairs)
     results = {
@@ -232,7 +236,18 @@ def _cmd_reay(ns) -> tuple[int, dict, list[str], list[str]]:
         vectors, labels = doc, None
     if not isinstance(vectors, list):
         raise ValueError("vectors file must hold an array of vectors")
-    parsed = [parse_vector(v) for v in vectors]
+    parsed = []
+    for i, item in enumerate(vectors):
+        if not isinstance(item, list):
+            raise ValueError(f"vectors[{i}]: expected an array")
+        try:
+            parsed.append(parse_vector(item))
+        except ValueError as exc:
+            raise ValueError(f"vectors[{i}]: {exc}") from None
+    if labels is not None and (
+        not isinstance(labels, list) or not all(isinstance(l, str) for l in labels)
+    ):
+        raise ValueError("labels: expected an array of strings")
     gens = GeneratorSet.from_vectors(parsed, labels)
     s, blocks = max_weak_reay(gens)
     results = {

@@ -1,10 +1,11 @@
 """Positive cones over Q^n: spanning tests, positive bases, weak Reay partitions.
 
-A finite vector set positively spans its linear span exactly when -x lies in
-the nonnegative hull for every generator x, so that single test drives all the
-spanning decisions here.  Partitions are represented by their chains of prefix
-unions; the maximum-cardinality search is an exhaustive dynamic program over
-the subset lattice, which caps the practical size at a dozen generators.
+A finite set S positively spans its linear span iff -(sum of S) lies in the
+nonnegative hull of S (Gordan's alternative), and that one LP drives every
+spanning decision here; the per-generator form is kept only as a test oracle.
+Partitions are represented by their chains of prefix unions; the
+maximum-cardinality search is an exhaustive dynamic program over the subset
+lattice, which caps the practical size at a dozen generators.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DimensionError, PreconditionError, ResourceLimitError
-from .ratlin import Vector, cone_member, linear_rank, vec, vec_neg
+from .ratlin import Vector, cone_member, linear_rank, vec
 
 MAX_PARTITION_GENERATORS = 12
 
@@ -73,9 +74,12 @@ def _vectors(x: Generators) -> tuple[Vector, ...]:
 
 
 def positively_spans_its_span(x: Generators) -> bool:
-    """True iff the nonnegative hull of x equals the linear span of x."""
+    """True iff the nonnegative hull of x equals the linear span of x.
+
+    One LP: is -(sum of x) in that hull?  Empty x counts as spanning.
+    """
     vecs = _vectors(x)
-    return all(cone_member(vec_neg(v), vecs)[0] for v in vecs)
+    return not vecs or cone_member([-sum(col) for col in zip(*vecs)], vecs)[0]
 
 
 def _spans_space(vecs: Sequence[Vector], n: int) -> bool:
@@ -120,15 +124,16 @@ def extract_positive_basis(x: Generators, n: int) -> GeneratorSet:
 
 
 def longest_closed_chain(
-    labels: Sequence[str], is_closed: Callable[[frozenset[str]], bool]
+    labels: Sequence[str], is_closed: Callable[[int], bool]
 ) -> tuple[frozenset[str], ...]:
     """Longest strictly increasing chain of closed sets from {} to all labels.
 
-    `is_closed` must accept the empty set and the full set.  Among maximum
-    chains the lexicographically least one (comparing sorted label tuples,
-    front first) is returned, so results do not depend on evaluation order.
-    Runs the O(3^len) subset-lattice program; refuses more than
-    MAX_PARTITION_GENERATORS labels.
+    `is_closed` is called once per subset, given as an int mask whose bit i
+    stands for sorted(labels)[i]; it must accept the empty set and the full
+    set.  Among maximum chains the lexicographically least one (comparing
+    sorted label tuples, front first) is returned, so results do not depend
+    on evaluation order.  Runs the O(3^len) subset-lattice program; refuses
+    more than MAX_PARTITION_GENERATORS labels.
     """
     labels = sorted(labels)
     count = len(labels)
@@ -139,10 +144,10 @@ def longest_closed_chain(
         )
     full = (1 << count) - 1
 
-    def to_set(mask: int) -> frozenset[str]:
-        return frozenset(labels[i] for i in range(count) if mask >> i & 1)
+    def members(mask: int) -> tuple[str, ...]:
+        return tuple(labels[i] for i in range(count) if mask >> i & 1)
 
-    closed = [is_closed(to_set(mask)) for mask in range(full + 1)]
+    closed = [is_closed(mask) for mask in range(full + 1)]
     if not closed[0] or not closed[full]:
         raise PreconditionError("endpoints of the chain are not closed")
 
@@ -173,7 +178,7 @@ def longest_closed_chain(
         while sub:
             sup = cur | sub
             if closed[sup] and steps.get(sup, -1) == steps[cur] - 1:
-                key = tuple(sorted(to_set(sup)))
+                key = members(sup)
                 if best_key is None or key < best_key:
                     best_key = key
                     best_mask = sup
@@ -181,7 +186,7 @@ def longest_closed_chain(
         assert best_mask is not None
         chain.append(best_mask)
         cur = best_mask
-    return tuple(to_set(mask) for mask in chain)
+    return tuple(frozenset(members(mask)) for mask in chain)
 
 
 def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
@@ -196,15 +201,12 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
         return 0, ()
     if not positively_spans_its_span(gens.vectors):
         raise PreconditionError("generators do not positively span their span")
+    vecs = gens.vectors
 
-    memo: dict[frozenset[str], bool] = {}
-
-    def closed(subset: frozenset[str]) -> bool:
-        got = memo.get(subset)
-        if got is None:
-            got = positively_spans_its_span(gens.subset(subset).vectors)
-            memo[subset] = got
-        return got
+    def closed(mask: int) -> bool:
+        return positively_spans_its_span(
+            [v for i, v in enumerate(vecs) if mask >> i & 1]
+        )
 
     chain = longest_closed_chain(gens.labels, closed)
     blocks = tuple(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ModelFormatError, ResourceLimitError
 from .ratlin import (
@@ -127,6 +127,19 @@ def enumerate_v(m: Model, bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple[Suppo
         got = tuple(members)
         m._cache["enumerate"] = got
     return got
+
+
+def support_mask(ids: Sequence[PrimeId], support: Collection[PrimeId]) -> int:
+    """A support as an int mask over an id order: bit i stands for ids[i].
+    Over `m.ids()` this is the encoding of `v_masks(m)`."""
+    return sum(1 << i for i, pid in enumerate(ids) if pid in support)
+
+
+def v_masks(m: Model) -> tuple[int, ...]:
+    """`enumerate_v(m)` as support masks over `m.ids()`, in the same order."""
+    if "masks" not in m._cache:
+        m._cache["masks"] = tuple(support_mask(m.ids(), s) for s in enumerate_v(m))
+    return m._cache["masks"]
 
 
 def sort_supports(supports: Iterable[Support]) -> tuple[Support, ...]:

@@ -11,12 +11,12 @@ the class data falls out of pure poset bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from typing import Iterable
 
-from .cones import longest_closed_chain, positively_spans_its_span
+from .cones import GeneratorSet, longest_closed_chain, max_weak_reay, positively_spans_its_span
 from .errors import PreconditionError, ResourceLimitError
-from .model import Model, PrimeId, Support, enumerate_v, v_membership
+from .model import Model, PrimeId, Support, enumerate_v, support_mask, v_masks, v_membership
 from .ratlin import cone_member, linear_rank, vec_neg
 
 DEFAULT_SUBSET_BOUND = 12
@@ -83,11 +83,12 @@ def inv_cone(m: Model, delta: Iterable[PrimeId]) -> Support:
 def is_self_inverse(m: Model, subset: Iterable[PrimeId]) -> bool:
     """Does every member of the subset lie among its own almost-inverses?
 
-    Equivalent to the classes of the subset positively spanning their span.
+    Equivalent to the classes of the subset positively spanning their span,
+    one LP in `positively_spans_its_span`; the per-member loop over this
+    definition is kept only as a test oracle.
     """
     s = m.check_ids(subset)
-    gens = [m.vector(p) for p in sorted(s)]
-    return all(cone_member(vec_neg(m.vector(q)), gens)[0] for q in s)
+    return positively_spans_its_span([m.vector(p) for p in sorted(s)])
 
 
 def _covers_all_primes(m: Model, subset: frozenset) -> bool:
@@ -123,16 +124,11 @@ def max_reay_chain(m: Model, delta: Iterable[PrimeId]) -> ReayChain:
     for pid in sorted(d):
         if _covers_all_primes(m, d - {pid}):
             raise PreconditionError("delta is not an inverse basis (not minimal)")
-    memo: dict[frozenset, bool] = {}
-
-    def closed(subset: frozenset) -> bool:
-        got = memo.get(subset)
-        if got is None:
-            got = is_self_inverse(m, subset)
-            memo[subset] = got
-        return got
-
-    return ReayChain(longest_closed_chain(sorted(d), closed))
+    # Self-inverse subsets of delta are the closed sets of the weak Reay
+    # partition problem on delta's classes.
+    labels = tuple(sorted(d))
+    _, blocks = max_weak_reay(GeneratorSet(labels, tuple(m.vector(p) for p in labels)))
+    return ReayChain(tuple(accumulate(blocks, frozenset.union, initial=frozenset())))
 
 
 def recover_rank(m: Model) -> int:
@@ -142,38 +138,38 @@ def recover_rank(m: Model) -> int:
     as the only primitive; the class vectors never enter.  The result is
     |basis| - (longest self-inverse chain length).
     """
-    members = enumerate_v(m)
     ids = m.ids()
-    bits = {pid: 1 << i for i, pid in enumerate(ids)}
-    full = (1 << len(ids)) - 1
-    masks = [sum(bits[p] for p in s) for s in members]
-    by_prime = {
-        pid: [mask for mask in masks if mask & bits[pid]] for pid in ids
-    }
-    if any(not hits for hits in by_prime.values()):
+    by_prime = [[mask for mask in v_masks(m) if mask >> i & 1] for i in range(len(ids))]
+    if not all(by_prime):
         # Some prime lies in no member, i.e. its inverse is unreachable; this
         # is the poset form of "not positively spanning".
         raise PreconditionError("class vectors do not positively span their span")
 
     def covers_all(mask: int) -> bool:
         return all(
-            any(hit & ~(mask | bits[pid]) == 0 for hit in by_prime[pid])
-            for pid in ids
+            any(hit & ~(mask | 1 << i) == 0 for hit in hits)
+            for i, hits in enumerate(by_prime)
         )
 
-    delta = full
-    for pid in ids:
-        trial = delta & ~bits[pid]
-        if covers_all(trial):
-            delta = trial
+    delta = (1 << len(ids)) - 1
+    for i in range(len(ids)):
+        if covers_all(delta & ~(1 << i)):
+            delta &= ~(1 << i)
 
-    delta_ids = sorted(p for p in ids if delta & bits[p])
+    # A subset is self-inverse when each of its primes lies in a member inside
+    # it, i.e. when it is the union of the members it contains.  The chain
+    # search's masks index delta_ids, so members inside delta are encoded so.
+    delta_ids = [pid for i, pid in enumerate(ids) if delta >> i & 1]
+    inside = [
+        support_mask(delta_ids, s) for s in enumerate_v(m) if s.issubset(delta_ids)
+    ]
 
-    def self_inverse(subset: frozenset) -> bool:
-        mask = sum(bits[p] for p in subset)
-        return all(
-            any(hit & ~mask == 0 for hit in by_prime[pid]) for pid in subset
-        )
+    def self_inverse(subset: int) -> bool:
+        union = 0
+        for mask in inside:
+            if mask & ~subset == 0:
+                union |= mask
+        return union == subset
 
     chain_sets = longest_closed_chain(delta_ids, self_inverse)
     return len(delta_ids) - (len(chain_sets) - 1)

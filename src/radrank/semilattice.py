@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, StructureError
-from .model import Model, PrimeId, Support, enumerate_v, validate
+from .model import Model, PrimeId, Support, enumerate_v, support_mask, v_masks, validate
 
 Family = tuple[Support, ...]
 
@@ -33,32 +33,15 @@ def _support_args(m: Model, supports: Sequence[Iterable[str]]) -> list[Support]:
     return [m.check_ids(s) for s in supports]
 
 
-def _bits(m: Model) -> dict[str, int]:
-    got = m._cache.get("bits")
-    if got is None:
-        got = {pid: 1 << i for i, pid in enumerate(m.ids())}
-        m._cache["bits"] = got
-    return got
-
-
-def _mask(bits: Mapping[str, int], support: Iterable[str]) -> int:
-    mask = 0
-    for pid in support:
-        mask |= bits[pid]
-    return mask
-
-
 def _decomposition_info(m: Model, z: int, a: int) -> tuple[bool, int]:
     """For supports as bitmasks: can a*B = Z for some member B, and which
     primes of Z admit a B omitting them?  Cached per model."""
     cache = m._cache.setdefault("decomp", {})
     got = cache.get((z, a))
     if got is None:
-        bits = _bits(m)
         exists = False
         avoidable = 0
-        for member in enumerate_v(m):
-            b = _mask(bits, member)
+        for b in v_masks(m):
             if a | b == z:
                 exists = True
                 avoidable |= z & ~b
@@ -82,10 +65,8 @@ def product_coprime_raw(m: Model, supports: Sequence[Iterable[str]]) -> bool:
     for s in sups:
         if s not in members:
             raise ValueError(f"support {sorted(s)} is not principal in this model")
-    bits = _bits(m)
-    masks = [_mask(bits, s) for s in sups]
-    for z_set in members:
-        z = _mask(bits, z_set)
+    masks = [support_mask(m.ids(), s) for s in sups]
+    for z in v_masks(m):
         infos = [_decomposition_info(m, z, a) for a in masks]
         if not all(exists for exists, _ in infos):
             continue
@@ -202,31 +183,26 @@ def find_iso(ma: Model, mb: Model) -> Optional[dict[PrimeId, PrimeId]]:
         pid: [q for q in ids_b if sig_b[q] == sig_a[pid]] for pid in ids_a
     }
 
-    pos_a = {pid: i for i, pid in enumerate(ids_a)}
-    pos_b = {pid: i for i, pid in enumerate(ids_b)}
-    va_masks = {sum(1 << pos_a[p] for p in s) for s in va}
-    vb_masks = {sum(1 << pos_b[p] for p in s) for s in vb}
+    va_masks = set(v_masks(ma))
+    vb_masks = set(v_masks(mb))
 
-    assigned_bits: list[tuple[int, int]] = []  # (bit in A, bit in B)
-    image: dict[PrimeId, PrimeId] = {}
-    used: set[PrimeId] = set()
+    # The first len(image) primes of ids_a are assigned; image[i] is the image
+    # of ids_a[i] and image_bits[i] its mask over ids_b.
+    image: list[PrimeId] = []
+    image_bits: list[int] = []
 
-    def translate(mask_a: int) -> int:
-        out = 0
-        for bit_a, bit_b in assigned_bits:
-            if mask_a & bit_a:
-                out |= bit_b
-        return out
-
-    def consistent(new_bit: int) -> bool:
-        # check every subset of the assigned primes that contains the new one
-        prev = 0
-        for bit_a, _ in assigned_bits[:-1]:
-            prev |= bit_a
+    def consistent() -> bool:
+        # check every subset of the assigned primes that contains the newest
+        new_bit = 1 << (len(image) - 1)
+        prev = new_bit - 1
         sub = prev
         while True:
             mask_a = sub | new_bit
-            if (mask_a in va_masks) != (translate(mask_a) in vb_masks):
+            mask_b = 0
+            for i, bit_b in enumerate(image_bits):
+                if mask_a >> i & 1:
+                    mask_b |= bit_b
+            if (mask_a in va_masks) != (mask_b in vb_masks):
                 return False
             if sub == 0:
                 break
@@ -236,23 +212,18 @@ def find_iso(ma: Model, mb: Model) -> Optional[dict[PrimeId, PrimeId]]:
     def search(depth: int) -> bool:
         if depth == len(ids_a):
             return True
-        pid = ids_a[depth]
-        for q in candidates[pid]:
-            if q in used:
+        for q in candidates[ids_a[depth]]:
+            if q in image:
                 continue
-            used.add(q)
-            image[pid] = q
-            assigned_bits.append((1 << pos_a[pid], 1 << pos_b[q]))
-            if consistent(1 << pos_a[pid]) and search(depth + 1):
+            image.append(q)
+            image_bits.append(support_mask(ids_b, [q]))
+            if consistent() and search(depth + 1):
                 return True
-            assigned_bits.pop()
-            del image[pid]
-            used.discard(q)
+            image.pop()
+            image_bits.pop()
         return False
 
-    if search(0):
-        return dict(image)
-    return None
+    return dict(zip(ids_a, image)) if search(0) else None
 
 
 def extend_iso(

@@ -51,6 +51,12 @@ def fm_cone_member(v, gens):
     return fm_feasible(ineqs, m)
 
 
+def spans_by_negations(vecs):
+    """Does the nonnegative hull of vecs equal their span?  Per generator:
+    -v must be a nonnegative combination of vecs (vacuous for no vectors)."""
+    return all(fm_cone_member([-Fraction(x) for x in v], vecs) for v in vecs)
+
+
 def fm_strict_zero(gens):
     """Does some combination with every coefficient >= 1 reach zero?"""
     m = len(gens)

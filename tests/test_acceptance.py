@@ -18,7 +18,7 @@ from modelgen import (
     relabeled,
     zero_model,
 )
-from oracles import max_reay_by_enumeration
+from oracles import max_reay_by_enumeration, spans_by_negations
 from radrank import (
     GeneratorSet,
     Model,
@@ -209,7 +209,7 @@ def test_c07_partition_count_on_positive_bases():
             assert len(blocks) == s
 
             def closed(subset):
-                return positively_spans_its_span(gens.subset(subset).vectors)
+                return spans_by_negations(gens.subset(subset).vectors)
 
             assert s == max_reay_by_enumeration(gens.labels, closed)
 

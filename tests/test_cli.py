@@ -214,6 +214,15 @@ class TestIso:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_extend_non_string_id(self, capsys, tmp_path, d1_file):
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text('[[[["a"]], ["a"]]]')
+        code, _, err = run(
+            capsys, "extend-iso", d1_file, d1_file, str(phi_path)
+        )
+        assert code == 2
+        assert err.startswith("error: phi[0][0][0]: expected a string")
+
 
 class TestReay:
     def test_bare_vectors(self, capsys, tmp_path):
@@ -240,6 +249,25 @@ class TestReay:
         code, _, err = run(capsys, "reay", str(path))
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "doc,where",
+        [
+            ('{"vectors": [["1"], ["-1"]], "labels": 5}', "labels: expected an array"),
+            ("[5, 6]", "vectors[0]: expected an array"),
+            ('[["1"], ["x"]]', "vectors[1]: invalid rational literal"),
+            ('{"vectors": [["1"], ["-1"]], "labels": [1, 2]}', "labels: expected an array"),
+            ('{"vectors": [["1"], ["-1"]], "labels": ["a"]}', "labels and vectors differ"),
+            ('{"labels": ["a"]}', "vectors file must hold an array"),
+        ],
+    )
+    def test_malformed_vectors_file(self, capsys, tmp_path, doc, where):
+        path = tmp_path / "vecs.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "reay", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {where}")
 
 
 class TestErrorsAndDiagnostics:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from modelgen import fresh_rng, random_invertible_matrix
-from oracles import max_reay_by_enumeration
+from oracles import max_reay_by_enumeration, spans_by_negations
 from radrank import (
     GeneratorSet,
     PreconditionError,
@@ -182,30 +182,37 @@ class TestMaxWeakReay:
             s, _ = max_weak_reay(gens)
 
             def closed(subset):
-                return positively_spans_its_span(gens.subset(subset).vectors)
+                return spans_by_negations(gens.subset(subset).vectors)
 
             assert s == max_reay_by_enumeration(gens.labels, closed)
 
 
 class TestLongestClosedChain:
     def test_lexicographically_least_among_maxima(self):
-        # closed sets are chosen so two maximum chains exist; the one through
-        # {a} must win over the one through {b}
-        closed_sets = {
-            frozenset(),
-            frozenset({"a"}),
-            frozenset({"b"}),
-            frozenset({"a", "b"}),
-        }
-        chain = longest_closed_chain(["a", "b"], lambda s: s in closed_sets)
+        # every subset of {a, b} is closed, so two maximum chains exist; the
+        # one through {a} must win over the one through {b}
+        chain = longest_closed_chain(["b", "a"], lambda mask: True)
         assert chain == (frozenset(), frozenset({"a"}), frozenset({"a", "b"}))
+
+    def test_predicate_takes_masks_over_sorted_labels(self):
+        # bit 0 is "a" and bit 1 is "b" whatever order the labels come in;
+        # only {b} is closed between the endpoints
+        seen = []
+
+        def closed(mask):
+            seen.append(mask)
+            return mask in (0b00, 0b10, 0b11)
+
+        chain = longest_closed_chain(["b", "a"], closed)
+        assert chain == (frozenset(), frozenset({"b"}), frozenset({"a", "b"}))
+        assert sorted(seen) == [0, 1, 2, 3]
 
     def test_endpoints_must_be_closed(self):
         with pytest.raises(PreconditionError):
-            longest_closed_chain(["a"], lambda s: bool(s))
+            longest_closed_chain(["a"], lambda mask: bool(mask))
 
     def test_empty_labels(self):
-        assert longest_closed_chain([], lambda s: True) == (frozenset(),)
+        assert longest_closed_chain([], lambda mask: True) == (frozenset(),)
 
 
 class TestGeneratorSet:

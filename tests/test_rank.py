@@ -11,6 +11,7 @@ from modelgen import (
     random_spanning_model,
     zero_model,
 )
+from oracles import spans_by_negations
 from radrank import (
     Model,
     PreconditionError,
@@ -29,6 +30,7 @@ from radrank import (
     transform,
     validate,
 )
+from radrank.cones import positively_spans_its_span
 
 
 def cross_model():
@@ -112,6 +114,28 @@ class TestSelfInverse:
         for _ in range(15):
             m = random_model(rng, 3, 6)
             assert is_self_inverse(m, m.ids()) == validate(m).positively_spanning
+
+    def test_single_lp_agrees_with_per_generator_oracle(self):
+        # Classes are drawn from a four-vector pool holding the zero vector,
+        # so zero and repeated classes both occur; ambient rank 0 is included
+        # and every subset is checked, the empty one too.
+        rng = fresh_rng(salt=53)
+        checked = 0
+        for _ in range(100):
+            r = rng.randrange(0, 4)
+            pool = [(0,) * r] + [
+                tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(3)
+            ]
+            n = rng.randrange(1, 6)
+            m = Model(r, [(f"p{i}", rng.choice(pool)) for i in range(n)])
+            for size in range(n + 1):
+                for subset in combinations(m.ids(), size):
+                    vecs = [m.vector(p) for p in subset]
+                    expected = spans_by_negations(vecs)
+                    assert positively_spans_its_span(vecs) == expected
+                    assert is_self_inverse(m, subset) == expected
+                    checked += 1
+        assert checked > 1000
 
 
 class TestInverseBasis:
