@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import DimensionError, PreconditionError, ResourceLimitError
+from .errors import DimensionError, PreconditionError, check_budget
 from .ratlin import Vector, cone_member, linear_rank, vec
-
-MAX_PARTITION_GENERATORS = 12
 
 
 @dataclass(frozen=True)
@@ -82,21 +80,26 @@ def positively_spans_its_span(x: Generators) -> bool:
     return not vecs or cone_member([-sum(col) for col in zip(*vecs)], vecs)[0]
 
 
-def _spans_space(vecs: Sequence[Vector], n: int) -> bool:
-    for v in vecs:
-        if len(v) != n:
-            raise DimensionError("vector dimension differs from ambient dimension")
-    return linear_rank(vecs) == n and positively_spans_its_span(vecs)
+def positively_spans_rank(vecs: Sequence[Vector], rank: int) -> bool:
+    """Do vecs have linear rank `rank` and positively span their span?  For
+    vectors in Q^rank: do they positively span Q^rank?"""
+    return linear_rank(vecs) == rank and positively_spans_its_span(vecs)
+
+
+def _check_dimension(vecs: Sequence[Vector], n: int) -> None:
+    if any(len(v) != n for v in vecs):
+        raise DimensionError("vector dimension differs from ambient dimension")
 
 
 def is_positive_basis(x: Generators, n: int) -> bool:
     """Does x positively span Q^n with no generator removable?"""
     vecs = _vectors(x)
-    if not _spans_space(vecs, n):
+    _check_dimension(vecs, n)
+    if not positively_spans_rank(vecs, n):
         return False
     for i in range(len(vecs)):
         rest = vecs[:i] + vecs[i + 1 :]
-        if _spans_space(rest, n):
+        if positively_spans_rank(rest, n):
             return False
     return True
 
@@ -108,17 +111,18 @@ def extract_positive_basis(x: Generators, n: int) -> GeneratorSet:
     redundant members, again in ascending label order.
     """
     gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(x)
-    if not _spans_space(gens.vectors, n):
+    _check_dimension(gens.vectors, n)
+    if not positively_spans_rank(gens.vectors, n):
         raise PreconditionError("input does not positively span the ambient space")
     kept: list[str] = []
-    if not _spans_space((), n):
+    if not positively_spans_rank((), n):
         for label, vector in zip(gens.labels, gens.vectors):
             kept.append(label)
-            if _spans_space(gens.subset(kept).vectors, n):
+            if positively_spans_rank(gens.subset(kept).vectors, n):
                 break
     for label in list(kept):
         trial = [l for l in kept if l != label]
-        if _spans_space(gens.subset(trial).vectors, n):
+        if positively_spans_rank(gens.subset(trial).vectors, n):
             kept = trial
     return gens.subset(kept)
 
@@ -133,15 +137,11 @@ def longest_closed_chain(
     set.  Among maximum chains the lexicographically least one (comparing
     sorted label tuples, front first) is returned, so results do not depend
     on evaluation order.  Runs the O(3^len) subset-lattice program; refuses
-    more than MAX_PARTITION_GENERATORS labels.
+    more than WORK_BUDGET labels.
     """
     labels = sorted(labels)
     count = len(labels)
-    if count > MAX_PARTITION_GENERATORS:
-        raise ResourceLimitError(
-            f"chain search over {count} generators exceeds the bound "
-            f"{MAX_PARTITION_GENERATORS}"
-        )
+    check_budget(count, "the chain search over the labels")
     full = (1 << count) - 1
 
     def members(mask: int) -> tuple[str, ...]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import ModelFormatError, ResourceLimitError
+from .errors import ModelFormatError, check_budget
 from .ratlin import (
     Vector,
     format_vector,
@@ -29,8 +29,6 @@ from itertools import combinations
 
 PrimeId = str
 Support = frozenset[str]
-
-DEFAULT_ENUMERATION_BOUND = 12
 
 PrimesInput = Union[Mapping[str, Sequence], Iterable[tuple[str, Sequence]]]
 
@@ -110,13 +108,10 @@ def v_membership(m: Model, support: Iterable[PrimeId]) -> bool:
     return got
 
 
-def enumerate_v(m: Model, bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple[Support, ...]:
+def enumerate_v(m: Model) -> tuple[Support, ...]:
     """All principal supports, ordered by (size, sorted ids)."""
     ids = m.ids()
-    if len(ids) > bound:
-        raise ResourceLimitError(
-            f"enumeration over {len(ids)} primes exceeds the bound {bound}"
-        )
+    check_budget(len(ids), "enumerating V over the primes")
     got = m._cache.get("enumerate")
     if got is None:
         members = []

@@ -14,12 +14,16 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from typing import Iterable
 
-from .cones import GeneratorSet, longest_closed_chain, max_weak_reay, positively_spans_its_span
-from .errors import PreconditionError, ResourceLimitError
+from .cones import (
+    GeneratorSet,
+    longest_closed_chain,
+    max_weak_reay,
+    positively_spans_its_span,
+    positively_spans_rank,
+)
+from .errors import PreconditionError, check_budget
 from .model import Model, PrimeId, Support, enumerate_v, support_mask, v_masks, v_membership
 from .ratlin import cone_member, linear_rank, vec_neg
-
-DEFAULT_SUBSET_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -47,19 +51,14 @@ class ReayChain:
         )
 
 
-def inv_enum(
-    m: Model, delta: Iterable[PrimeId], bound: int = DEFAULT_SUBSET_BOUND
-) -> Support:
+def inv_enum(m: Model, delta: Iterable[PrimeId]) -> Support:
     """Almost-inverses of delta by support enumeration alone.
 
     Q qualifies when {Q} union T is principal for some subset T of delta,
     the empty T included.
     """
     d = m.check_ids(delta)
-    if len(d) > bound:
-        raise ResourceLimitError(
-            f"subset enumeration over {len(d)} primes exceeds the bound {bound}"
-        )
+    check_budget(len(d), "enumerating the subsets of delta")
     ordered = sorted(d)
     subsets = list(
         chain.from_iterable(combinations(ordered, size) for size in range(len(ordered) + 1))
@@ -91,43 +90,37 @@ def is_self_inverse(m: Model, subset: Iterable[PrimeId]) -> bool:
     return positively_spans_its_span([m.vector(p) for p in sorted(s)])
 
 
-def _covers_all_primes(m: Model, subset: frozenset) -> bool:
-    # Almost-inverses of the subset reach every prime iff the subset's classes
-    # positively span the span of all classes.
-    vecs = [m.vector(p) for p in sorted(subset)]
-    full = linear_rank(m.vectors())
-    return linear_rank(vecs) == full and positively_spans_its_span(vecs)
-
-
 def find_inverse_basis(m: Model) -> Support:
     """Greedy minimal prime set whose almost-inverses are all primes.
 
     Trial removals run in ascending id order starting from the full prime
     set; a removal sticks whenever the remainder still positively spans the
-    span of all classes.
+    span of all classes, which is when its almost-inverses are all primes.
     """
     if not positively_spans_its_span(m.vectors()):
         raise PreconditionError("class vectors do not positively span their span")
+    full = linear_rank(m.vectors())
     delta = list(m.ids())
     for pid in m.ids():
-        trial = frozenset(p for p in delta if p != pid)
-        if _covers_all_primes(m, trial):
-            delta = sorted(trial)
+        trial = [p for p in delta if p != pid]
+        if positively_spans_rank([m.vector(p) for p in trial], full):
+            delta = trial
     return frozenset(delta)
 
 
 def max_reay_chain(m: Model, delta: Iterable[PrimeId]) -> ReayChain:
     """Longest chain of self-inverse subsets from {} up to an inverse basis."""
-    d = m.check_ids(delta)
-    if not _covers_all_primes(m, d):
+    labels = tuple(sorted(m.check_ids(delta)))
+    vecs = tuple(m.vector(p) for p in labels)
+    full = linear_rank(m.vectors())
+    if not positively_spans_rank(vecs, full):
         raise PreconditionError("delta is not an inverse basis (does not cover)")
-    for pid in sorted(d):
-        if _covers_all_primes(m, d - {pid}):
+    for i in range(len(vecs)):
+        if positively_spans_rank(vecs[:i] + vecs[i + 1 :], full):
             raise PreconditionError("delta is not an inverse basis (not minimal)")
     # Self-inverse subsets of delta are the closed sets of the weak Reay
     # partition problem on delta's classes.
-    labels = tuple(sorted(d))
-    _, blocks = max_weak_reay(GeneratorSet(labels, tuple(m.vector(p) for p in labels)))
+    _, blocks = max_weak_reay(GeneratorSet(labels, vecs))
     return ReayChain(tuple(accumulate(blocks, frozenset.union, initial=frozenset())))
 
 

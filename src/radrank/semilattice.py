@@ -2,11 +2,11 @@
 
 Principal supports form a semilattice under union, with divisibility turning
 into containment.  Coprimality of a tuple can be decided two ways: the raw
-definition quantifies over decompositions inside the finite family V, the
-support criterion just intersects.  On witness-rich models the maximal
-product-proper subfamilies are exactly the per-prime stars nu(P), which is
-what lets an isomorphism of the families be transported back to a bijection
-of the primes.
+definition quantifies over decompositions inside the finite family V (one
+table of decompositions per support), the support criterion just intersects.
+On witness-rich models the maximal product-proper subfamilies are exactly the
+per-prime stars nu(P), which is what lets an isomorphism of the families be
+transported back to a bijection of the primes: eta = theta . phi . nu.
 """
 
 from __future__ import annotations
@@ -29,25 +29,38 @@ def meet(x: Iterable[str], y: Iterable[str]) -> Support:
     return frozenset(x) | frozenset(y)
 
 
-def _support_args(m: Model, supports: Sequence[Iterable[str]]) -> list[Support]:
-    return [m.check_ids(s) for s in supports]
+def _tables(m: Model) -> dict[int, Optional[dict[int, int]]]:
+    """Decomposition tables keyed by member mask, each built on first use."""
+    if "decompositions" not in m._cache:
+        m._cache["decompositions"] = dict.fromkeys(v_masks(m))
+    return m._cache["decompositions"]
 
 
-def _decomposition_info(m: Model, z: int, a: int) -> tuple[bool, int]:
-    """For supports as bitmasks: can a*B = Z for some member B, and which
-    primes of Z admit a B omitting them?  Cached per model."""
-    cache = m._cache.setdefault("decomp", {})
-    got = cache.get((z, a))
-    if got is None:
-        exists = False
-        avoidable = 0
+def _principal_masks(m: Model, supports: Iterable[Iterable[str]]) -> list[int]:
+    """The supports as masks over `m.ids()`, refusing any not a member of V."""
+    ids = m.ids()
+    tables = _tables(m)
+    masks = []
+    for s in supports:
+        sup = m.check_ids(s)
+        mask = support_mask(ids, sup)
+        if mask not in tables:
+            raise ValueError(f"support {sorted(sup)} is not principal in this model")
+        masks.append(mask)
+    return masks
+
+
+def _decompositions(m: Model, a: int) -> dict[int, int]:
+    """For a member a: {Z = a | B over members B: primes of Z omitted by some
+    such B}.  V is union-closed, so the keys are the members a divides."""
+    tables = _tables(m)
+    table = tables[a]
+    if table is None:
+        table = tables[a] = {}
         for b in v_masks(m):
-            if a | b == z:
-                exists = True
-                avoidable |= z & ~b
-        got = (exists, avoidable)
-        cache[(z, a)] = got
-    return got
+            z = a | b
+            table[z] = table.get(z, 0) | (z & ~b)
+    return table
 
 
 def product_coprime_raw(m: Model, supports: Sequence[Iterable[str]]) -> bool:
@@ -56,25 +69,19 @@ def product_coprime_raw(m: Model, supports: Sequence[Iterable[str]]) -> bool:
     The tuple fails exactly when some member Z decomposes as a_j * B_j for
     every j while a chosen prime of one a_j escapes all the other B_i.  The
     B_i are chosen independently, so the escape test factors through a single
-    prime, which is what the loop below checks.
+    prime, which is what the loop below checks over the Z common to every
+    coordinate's decomposition table.
     """
-    sups = _support_args(m, supports)
-    if len(sups) < 2:
+    masks = _principal_masks(m, supports)
+    if len(masks) < 2:
         raise ValueError("coprimality concerns tuples of at least two supports")
-    members = set(enumerate_v(m))
-    for s in sups:
-        if s not in members:
-            raise ValueError(f"support {sorted(s)} is not principal in this model")
-    masks = [support_mask(m.ids(), s) for s in sups]
-    for z in v_masks(m):
-        infos = [_decomposition_info(m, z, a) for a in masks]
-        if not all(exists for exists, _ in infos):
-            continue
+    tables = [_decompositions(m, a) for a in masks]
+    for z in set(tables[0]).intersection(*tables[1:]):
         for j, a in enumerate(masks):
             escape = z  # primes omittable by every other coordinate
-            for i, (_, avoidable) in enumerate(infos):
+            for i, table in enumerate(tables):
                 if i != j:
-                    escape &= avoidable
+                    escape &= table[z]
             if escape & a:
                 return False
     return True
@@ -96,18 +103,10 @@ def is_product_proper(m: Model, family: Iterable[Iterable[str]]) -> bool:
     exactly a common prime (the full family has the smallest intersection).
     Singleton families count as product-proper."""
     fam = {m.check_ids(s) for s in family}
-    members = set(enumerate_v(m))
-    for s in fam:
-        if s not in members:
-            raise ValueError(f"support {sorted(s)} is not principal in this model")
-    if len(fam) >= len(members):
+    _principal_masks(m, fam)
+    if len(fam) >= len(v_masks(m)):
         raise ValueError("a product-proper family must be a proper subfamily")
-    if len(fam) <= 1:
-        return True
-    common = frozenset(m.ids())
-    for s in fam:
-        common &= s
-    return bool(common)
+    return len(fam) <= 1 or not product_coprime_supports(fam)
 
 
 def nu(m: Model, pid: PrimeId) -> Family:
@@ -262,18 +261,7 @@ def extend_iso(
         raise PreconditionError(
             "both models must be witness-rich to transport an isomorphism"
         )
-    eta: dict[PrimeId, PrimeId] = {}
-    for pid in ma.ids():
-        images = [mapping[s] for s in enumerate_v(ma) if pid in s]
-        common = images[0]
-        for s in images[1:]:
-            common &= s
-        if len(common) != 1:
-            raise StructureError(
-                f"image family of prime {pid!r} has common prime set "
-                f"{sorted(common)}; expected exactly one"
-            )
-        (eta[pid],) = common
+    eta = {pid: theta(mb, [mapping[s] for s in nu(ma, pid)]) for pid in ma.ids()}
     if len(set(eta.values())) != len(eta):
         raise StructureError("induced prime map is not injective")
     verified = all(

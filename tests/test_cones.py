@@ -140,7 +140,7 @@ class TestMaxWeakReay:
     def test_refuses_oversized_input(self):
         vecs = [(1,), (-1,)] * 7  # 14 generators
         labels = [f"v{i:02d}" for i in range(14)]
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="chain search.*WORK_BUDGET"):
             max_weak_reay(GeneratorSet(tuple(labels), tuple(vecs)))
 
     def test_prefixes_and_dimension_steps(self):

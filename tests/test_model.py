@@ -128,7 +128,7 @@ class TestEnumerateV:
 
     def test_bound(self):
         big = Model(1, [(f"p{i:02d}", (1,)) for i in range(13)])
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="enumerating V.*WORK_BUDGET"):
             enumerate_v(big)
 
     def test_union_closure(self):

@@ -75,7 +75,7 @@ class TestAlmostInverses:
 
     def test_enumeration_bound(self):
         big = Model(1, [(f"p{i:02d}", (1,)) for i in range(13)])
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="subsets of delta.*WORK_BUDGET"):
             inv_enum(big, big.ids())
 
     def test_routes_agree(self):

@@ -114,6 +114,23 @@ class TestProductCoprime:
             for tup in combinations(members, size):
                 assert product_coprime_raw(m, tup) == raw_coprime(members, tup)
 
+    def test_raw_matches_definition_on_random_models(self):
+        # random models are mostly not witness-rich, so this population
+        # reaches the decomposition tables where the two routes part ways
+        rng = fresh_rng(salt=43)
+        checked = disagreements = 0
+        for _ in range(40):
+            m = random_model(rng, 3, 4)
+            members = enumerate_v(m)
+            for size in (2, 3):
+                for tup in combinations(members, size):
+                    raw = product_coprime_raw(m, tup)
+                    assert raw == raw_coprime(members, tup)
+                    checked += 1
+                    disagreements += raw != product_coprime_supports(tup)
+        assert checked > 1000
+        assert disagreements > 0
+
     def test_raw_can_disagree_with_supports_criterion(self):
         m = gen_d3(4)
         tup = [{"R1", "R2"}, {"R2", "R3"}]
