@@ -19,7 +19,10 @@ from typing import Optional, Sequence
 
 from . import claborn, rank as rank_ops, semilattice
 from .cones import GeneratorSet, max_weak_reay
-from .model import Model, dumps_model, enumerate_v, v_membership, validate
+from .errors import ModelFormatError
+from .model import (
+    Model, dumps_model, enumerate_v, loads_model, model_to_dict, v_membership, validate
+)
 from .ratlin import parse_vector
 
 
@@ -38,9 +41,10 @@ def _read(path: str) -> str:
 
 def _load(path: str) -> tuple[Model, str]:
     text = _read(path)
-    from .model import loads_model
-
-    return loads_model(text), text
+    try:
+        return loads_model(text), text
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def _support_text(support) -> str:
@@ -210,8 +214,6 @@ _FAMILIES = {"d1": claborn.gen_d1, "d2": claborn.gen_d2, "d3": claborn.gen_d3}
 def _cmd_gen(ns) -> tuple[int, dict, list[str], list[str]]:
     m = _FAMILIES[ns.family](ns.k)
     text = dumps_model(m)
-    from .model import model_to_dict
-
     results = {"model": model_to_dict(m)}
     parts = ["gen", ns.family, str(ns.k)]
     if ns.output:
@@ -340,10 +342,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         code, results, lines, digest_parts = handler(ns)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0

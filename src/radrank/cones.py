@@ -11,7 +11,7 @@ lattice, which caps the practical size at a dozen generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionError, PreconditionError, check_budget
 from .ratlin import Vector, cone_member, linear_rank, vec
@@ -115,11 +115,10 @@ def extract_positive_basis(x: Generators, n: int) -> GeneratorSet:
     if not positively_spans_rank(gens.vectors, n):
         raise PreconditionError("input does not positively span the ambient space")
     kept: list[str] = []
-    if not positively_spans_rank((), n):
-        for label, vector in zip(gens.labels, gens.vectors):
-            kept.append(label)
-            if positively_spans_rank(gens.subset(kept).vectors, n):
-                break
+    for label in gens.labels:
+        kept.append(label)
+        if positively_spans_rank(gens.subset(kept).vectors, n):
+            break
     for label in list(kept):
         trial = [l for l in kept if l != label]
         if positively_spans_rank(gens.subset(trial).vectors, n):
@@ -151,41 +150,27 @@ def longest_closed_chain(
     if not closed[0] or not closed[full]:
         raise PreconditionError("endpoints of the chain are not closed")
 
-    # steps[mask] = longest chain length from mask up to full
-    steps: dict[int, int] = {full: 0}
-    order = sorted((m for m in range(full) if closed[m]), key=int.bit_count, reverse=True)
-    for mask in order:
+    def above(mask: int) -> Iterator[int]:
+        """The closed proper supersets of mask; full is always one."""
         comp = full ^ mask
-        best = -1
         sub = comp
         while sub:
-            sup = mask | sub
-            if closed[sup]:
-                got = steps.get(sup, -2)
-                if got >= 0 and got + 1 > best:
-                    best = got + 1
+            if closed[mask | sub]:
+                yield mask | sub
             sub = (sub - 1) & comp
-        if best >= 0:
-            steps[mask] = best
+
+    # steps[mask] = longest chain length from a closed mask up to full;
+    # proper supersets are larger numbers, so a descending sweep sees them first
+    steps = [0] * (full + 1)
+    for mask in range(full - 1, -1, -1):
+        if closed[mask]:
+            steps[mask] = 1 + max(steps[sup] for sup in above(mask))
 
     chain = [0]
-    cur = 0
-    while cur != full:
-        comp = full ^ cur
-        best_mask = None
-        best_key = None
-        sub = comp
-        while sub:
-            sup = cur | sub
-            if closed[sup] and steps.get(sup, -1) == steps[cur] - 1:
-                key = members(sup)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_mask = sup
-            sub = (sub - 1) & comp
-        assert best_mask is not None
-        chain.append(best_mask)
-        cur = best_mask
+    while chain[-1] != full:
+        cur = chain[-1]
+        nexts = (sup for sup in above(cur) if steps[sup] == steps[cur] - 1)
+        chain.append(min(nexts, key=members))
     return tuple(frozenset(members(mask)) for mask in chain)
 
 

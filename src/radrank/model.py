@@ -38,6 +38,7 @@ class Model:
     ambient_rank: int
     primes: tuple[tuple[PrimeId, Vector], ...]
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _by_id: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.ambient_rank < 0:
@@ -66,22 +67,22 @@ class Model:
             cleaned.append((pid, v))
         cleaned.sort(key=lambda item: item[0])
         object.__setattr__(self, "primes", tuple(cleaned))
+        object.__setattr__(self, "_by_id", dict(cleaned))
 
     def ids(self) -> tuple[PrimeId, ...]:
-        return tuple(pid for pid, _ in self.primes)
+        return tuple(self._by_id)
 
     def vector(self, pid: PrimeId) -> Vector:
-        for p, v in self.primes:
-            if p == pid:
-                return v
-        raise ValueError(f"unknown prime id {pid!r}")
+        if pid not in self._by_id:
+            raise ValueError(f"unknown prime id {pid!r}")
+        return self._by_id[pid]
 
     def vectors(self) -> tuple[Vector, ...]:
-        return tuple(v for _, v in self.primes)
+        return tuple(self._by_id.values())
 
     def check_ids(self, ids: Iterable[PrimeId]) -> frozenset[str]:
         s = frozenset(ids)
-        unknown = s - set(self.ids())
+        unknown = [pid for pid in s if pid not in self._by_id]
         if unknown:
             raise ValueError(f"unknown prime ids: {sorted(unknown)}")
         return s

@@ -150,14 +150,6 @@ def mprop(m: Model) -> tuple[Family, ...]:
 
 # --- isomorphisms -----------------------------------------------------------
 
-def _degree_signature(ids: Sequence[str], members: Sequence[Support]) -> dict[str, tuple[int, ...]]:
-    sizes = range(1, len(ids) + 1)
-    return {
-        pid: tuple(sum(1 for s in members if len(s) == size and pid in s) for size in sizes)
-        for pid in ids
-    }
-
-
 def find_iso(ma: Model, mb: Model) -> Optional[dict[PrimeId, PrimeId]]:
     """Search for a prime bijection sending V(ma) exactly onto V(mb).
 
@@ -166,63 +158,52 @@ def find_iso(ma: Model, mb: Model) -> Optional[dict[PrimeId, PrimeId]]:
     order, so the first hit is the lexicographically least bijection and the
     result is schedule-independent.  Returns None when no isomorphism exists.
     """
-    ids_a = ma.ids()
-    ids_b = mb.ids()
-    if len(ids_a) != len(ids_b):
+    n = len(ma.ids())
+    if n != len(mb.ids()) or len(enumerate_v(ma)) != len(enumerate_v(mb)):
         return None
-    va = enumerate_v(ma)
-    vb = enumerate_v(mb)
-    if len(va) != len(vb):
+
+    def signatures(m: Model) -> list[tuple[int, ...]]:
+        counts = [[0] * n for _ in range(n)]
+        for mask in v_masks(m):
+            size = mask.bit_count()
+            for i in range(n):
+                if mask >> i & 1:
+                    counts[i][size - 1] += 1
+        return [tuple(c) for c in counts]
+
+    sig_a = signatures(ma)
+    sig_b = signatures(mb)
+    if sorted(sig_a) != sorted(sig_b):
         return None
-    sig_a = _degree_signature(ids_a, va)
-    sig_b = _degree_signature(ids_b, vb)
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return None
-    candidates = {
-        pid: [q for q in ids_b if sig_b[q] == sig_a[pid]] for pid in ids_a
-    }
+    va = set(v_masks(ma))
+    vb = set(v_masks(mb))
 
-    va_masks = set(v_masks(ma))
-    vb_masks = set(v_masks(mb))
-
-    # The first len(image) primes of ids_a are assigned; image[i] is the image
-    # of ids_a[i] and image_bits[i] its mask over ids_b.
-    image: list[PrimeId] = []
-    image_bits: list[int] = []
-
-    def consistent() -> bool:
-        # check every subset of the assigned primes that contains the newest
-        new_bit = 1 << (len(image) - 1)
-        prev = new_bit - 1
-        sub = prev
-        while True:
-            mask_a = sub | new_bit
-            mask_b = 0
-            for i, bit_b in enumerate(image_bits):
-                if mask_a >> i & 1:
-                    mask_b |= bit_b
-            if (mask_a in va_masks) != (mask_b in vb_masks):
-                return False
-            if sub == 0:
-                break
-            sub = (sub - 1) & prev
-        return True
+    # The first `depth` primes of ma are assigned; images[s] is the image
+    # mask, over mb.ids(), of the subset s of them, so images[-1] holds every
+    # assigned image and images[1 << d] the image of prime d.
+    images = [0]
 
     def search(depth: int) -> bool:
-        if depth == len(ids_a):
+        if depth == n:
             return True
-        for q in candidates[ids_a[depth]]:
-            if q in image:
+        for j in range(n):
+            if images[-1] >> j & 1 or sig_b[j] != sig_a[depth]:
                 continue
-            image.append(q)
-            image_bits.append(support_mask(ids_b, [q]))
-            if consistent() and search(depth + 1):
-                return True
-            image.pop()
-            image_bits.pop()
+            # grown[s] is the image of s plus prime `depth`, sent to bit j
+            grown = [x | 1 << j for x in images]
+            if all(((1 << depth | s) in va) == (y in vb) for s, y in enumerate(grown)):
+                images.extend(grown)
+                if search(depth + 1):
+                    return True
+                del images[1 << depth :]
         return False
 
-    return dict(zip(ids_a, image)) if search(0) else None
+    if not search(0):
+        return None
+    return {
+        pid: mb.ids()[images[1 << d].bit_length() - 1]
+        for d, pid in enumerate(ma.ids())
+    }
 
 
 def extend_iso(

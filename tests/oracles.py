@@ -6,7 +6,7 @@ under test beyond the data types it consumes.  Keep inputs tiny.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 # An inequality is (coeffs, rhs) meaning sum(c_i * x_i) <= rhs.
 
@@ -218,3 +218,36 @@ def maximal_product_proper(v_family):
         if not any(cand < other for other in proper):
             out.append(cand)
     return set(out)
+
+
+def iso_by_permutations(va, ids_a, vb, ids_b):
+    """The least bijection ids_a -> ids_b (images listed in ascending order of
+    ids_a, compared as tuples) carrying the family va exactly onto vb, or
+    None.  Tries every permutation."""
+    ids_a, ids_b = sorted(ids_a), sorted(ids_b)
+    if len(ids_a) != len(ids_b):
+        return None
+    target = {frozenset(s) for s in vb}
+    for perm in permutations(ids_b):
+        eta = dict(zip(ids_a, perm))
+        if {frozenset(eta[p] for p in s) for s in va} == target:
+            return eta
+    return None
+
+
+def least_longest_chain(labels, is_closed):
+    """Among the ordered partitions of labels whose prefix unions (the empty
+    one included) all pass `is_closed`, one with the most blocks; ties go to
+    the least chain of prefix unions, each compared as a sorted tuple.
+    Returns that chain, from the empty set to all labels, or None."""
+    best = None
+    for part in ordered_partitions(sorted(labels)):
+        chain = [frozenset()]
+        for block in part:
+            chain.append(chain[-1] | block)
+        if not all(is_closed(s) for s in chain):
+            continue
+        key = (-len(chain), [sorted(s) for s in chain])
+        if best is None or key < best[0]:
+            best = (key, tuple(chain))
+    return None if best is None else best[1]

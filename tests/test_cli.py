@@ -285,6 +285,14 @@ class TestErrorsAndDiagnostics:
         assert code == 2
         assert "primes[0].class[0]" in err
 
+    def test_names_the_malformed_model_file(self, capsys, tmp_path, d1_file):
+        path = tmp_path / "bad.json"
+        path.write_text('{"ambient_rank": 0, "primes": [{"id": ""}]}')
+        code, out, err = run(capsys, "iso", d1_file, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: primes[0].id: expected a nonempty string\n"
+
     def test_json_syntax_location(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"ambient_rank": 1,\n "primes": [}')

@@ -10,7 +10,16 @@ import json
 import pytest
 
 from modelgen import fresh_rng, random_model
-from radrank import enumerate_v, find_iso, gen_d1, gen_d2, gen_d3, model_to_dict
+from radrank import (
+    ModelFormatError,
+    enumerate_v,
+    find_iso,
+    gen_d1,
+    gen_d2,
+    gen_d3,
+    loads_model,
+    model_to_dict,
+)
 from radrank.cli import main
 
 ROUNDS = 100
@@ -93,8 +102,14 @@ def test_damaged_inputs_never_escape(tmp_path, capsys):
             "phi.json": damaged_text(rng, phi),
             "vectors.json": damaged_text(rng, vectors),
         }
+        bad_models = set()
         for name, text in files.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
+            if name in ("a.json", "b.json"):
+                try:
+                    loads_model(text)
+                except ModelFormatError:
+                    bad_models.add(str(tmp_path / name))
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         commands = [
             ["validate", a],
@@ -124,3 +139,7 @@ def test_damaged_inputs_never_escape(tmp_path, capsys):
                     argv,
                     err,
                 )
+            # the first model file that fails to parse is named in the error
+            bad = [arg for arg in argv[1:3] if arg in bad_models]
+            if bad:
+                assert code == 2 and f"error: {bad[0]}: " in err, (round_no, argv, err)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from modelgen import fresh_rng, random_invertible_matrix
-from oracles import max_reay_by_enumeration, spans_by_negations
+from oracles import least_longest_chain, max_reay_by_enumeration, spans_by_negations
 from radrank import (
     GeneratorSet,
     PreconditionError,
@@ -92,6 +92,11 @@ class TestExtractPositiveBasis:
     def test_rejects_non_spanning_input(self):
         with pytest.raises(PreconditionError):
             extract_positive_basis([E1, E2], 2)
+
+    def test_zero_dimensional_space_has_the_empty_basis(self):
+        empty = GeneratorSet((), ())
+        assert extract_positive_basis([(), ()], 0) == empty
+        assert extract_positive_basis([], 0) == empty
 
     def test_result_is_always_a_positive_basis(self):
         rng = fresh_rng(salt=21)
@@ -213,6 +218,24 @@ class TestLongestClosedChain:
 
     def test_empty_labels(self):
         assert longest_closed_chain([], lambda mask: True) == (frozenset(),)
+
+    def test_matches_partition_oracle(self):
+        rng = fresh_rng(salt=23)
+        for _ in range(300):
+            labels = rng.sample("abcdefgh", rng.randrange(7))
+            order = sorted(labels)
+            density = rng.random()
+            full = (1 << len(labels)) - 1
+            closed = {
+                mask for mask in range(1, full) if rng.random() < density
+            } | {0, full}
+
+            def as_set(mask):
+                return frozenset(l for i, l in enumerate(order) if mask >> i & 1)
+
+            sets = {as_set(mask) for mask in closed}
+            want = least_longest_chain(labels, sets.__contains__)
+            assert longest_closed_chain(labels, closed.__contains__) == want
 
 
 class TestGeneratorSet:

@@ -4,8 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from modelgen import fresh_rng, random_model, zero_model
-from oracles import maximal_product_proper, product_proper_by_raw, raw_coprime
+from modelgen import fresh_rng, random_model, relabeled, zero_model
+from oracles import (
+    iso_by_permutations,
+    maximal_product_proper,
+    product_proper_by_raw,
+    raw_coprime,
+)
 from radrank import (
     PreconditionError,
     StructureError,
@@ -275,6 +280,34 @@ class TestFindIso:
             va = enumerate_v(m)
             vb = set(enumerate_v(other))
             assert {frozenset(eta[p] for p in s) for s in va} == vb
+
+    def test_matches_permutation_oracle(self):
+        # relabelled copies (names shuffled, so the least map is rarely the
+        # identity), unrelated pairs of equal size, and the d1/d2/d3 families
+        rng = fresh_rng(salt=43)
+        pairs = [
+            (fam_a(k), fam_b(k))
+            for k in range(3, 7)
+            for fam_a in (gen_d1, gen_d2, gen_d3)
+            for fam_b in (gen_d1, gen_d2, gen_d3)
+        ]
+        while len(pairs) < 100:
+            m = random_model(rng, 3, 6)
+            if rng.random() < 0.5:
+                names = [f"q{i}" for i in range(len(m.ids()))]
+                rng.shuffle(names)
+                pairs.append((m, relabeled(m, dict(zip(m.ids(), names)))))
+            else:
+                n = len(m.ids())
+                pairs.append((m, random_model(rng, n, n, ranks=range(min(n, 4)))))
+        found = 0
+        for ma, mb in pairs:
+            want = iso_by_permutations(
+                enumerate_v(ma), ma.ids(), enumerate_v(mb), mb.ids()
+            )
+            assert find_iso(ma, mb) == want, (ma, mb)
+            found += want is not None
+        assert 40 < found < len(pairs)
 
 
 class TestExtendIso:
