@@ -122,20 +122,16 @@ def _cmd_coprime(ns) -> tuple[int, dict, list[str], list[str]]:
 
 def _cmd_mprop(ns) -> tuple[int, dict, list[str], list[str]]:
     m, text = _load(ns.model)
-    families = semilattice.mprop(m)
+    families = [(semilattice.theta(m, f), f) for f in semilattice.mprop(m)]
     results = {
         "families": [
-            {
-                "prime": semilattice.theta(m, family),
-                "members": _family_json(family),
-            }
-            for family in families
+            {"prime": prime, "members": _family_json(family)}
+            for prime, family in families
         ]
     }
     lines = [
-        f"{semilattice.theta(m, family)}: "
-        + " ".join(_support_text(s) for s in family)
-        for family in families
+        f"{prime}: " + " ".join(_support_text(s) for s in family)
+        for prime, family in families
     ]
     return 0, results, lines, ["mprop", text]
 

@@ -1,9 +1,10 @@
 """Exact rational linear algebra.
 
-Everything here runs on `fractions.Fraction`; no floats ever enter, since the
-cone decisions downstream sit exactly on boundaries where rounding flips
-verdicts.  The pieces are a phase-1 simplex for equality systems with lower
-bounds, nonnegative-combination (cone) membership, strictly positive zero
+Everything here is exact: `fractions.Fraction` in and out, integers inside
+the simplex, and no floats ever, since the cone decisions downstream sit
+exactly on boundaries where rounding flips verdicts.  The pieces are a
+phase-1 simplex for equality systems with lower bounds,
+nonnegative-combination (cone) membership, strictly positive zero
 combinations, rank, and a Smith normal form that returns its unimodular
 transforms.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionError
@@ -20,7 +22,7 @@ Vector = tuple[Fraction, ...]
 
 
 def vec(values: Sequence) -> Vector:
-    return tuple(Fraction(x) for x in values)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
 def vec_neg(v: Sequence[Fraction]) -> Vector:
@@ -33,70 +35,84 @@ def mat_vec(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector
 
 # --- feasibility core -------------------------------------------------------
 
-def _phase_one(columns: list[Vector], rhs: Vector) -> Optional[list[Fraction]]:
-    """Solve `sum_j z_j * columns[j] = rhs, z >= 0` by phase-1 simplex.
+def _scaled(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """A rational row as integers: (d * row, d) with d the lcm of the
+    denominators."""
+    d = lcm(*(q.denominator for q in row))
+    return [q.numerator * (d // q.denominator) for q in row], d
 
-    Returns a coefficient list z, or None if the system is infeasible.
-    Bland's rule (smallest eligible index for both the entering column and
-    the leaving basic variable) makes the pivot sequence finite.
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _phase_one(
+    n: int, equations: list[tuple[list[int], int]]
+) -> Optional[list[Fraction]]:
+    """Solve `sum_j z_j * a_ij = b_i (all i), z >= 0` by phase-1 simplex.
+
+    Each equation is `_scaled(a_i0, ..., a_i(n-1), b_i)`.  Returns a
+    coefficient list z, or None if the system is infeasible.  Bland's rule
+    (smallest eligible index for both the entering column and the leaving
+    basic variable) makes the pivot sequence finite.
+
+    The tableau is the rational one, b last, with row i stored as the
+    primitive integer vector on the same ray; its artificial entry starts as
+    the row's scale s_i.  Pivots, ratios and reduced-cost signs are those of
+    the rational tableau, so the pivot sequence and the witness are too.
     """
-    m = len(rhs)
-    n = len(columns)
-    tableau: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for i in range(m):
-        row = [columns[j][i] for j in range(n)]
-        if rhs[i] < 0:
-            row = [-a for a in row]
-            b.append(-rhs[i])
-        else:
-            b.append(rhs[i])
-        # artificial block: identity
-        row.extend(Fraction(1) if i2 == i else Fraction(0) for i2 in range(m))
-        tableau.append(row)
-    basis = [n + i for i in range(m)]
+    m = len(equations)
     total = n + m
-    # reduced costs against the all-artificial start basis
-    cost = []
-    for j in range(total):
-        cj = Fraction(1) if j >= n else Fraction(0)
-        cost.append(cj - sum(tableau[i][j] for i in range(m)))
+    tableau: list[list[int]] = []
+    for i, (ints, d) in enumerate(equations):
+        sign = -1 if ints[n] < 0 else 1
+        row = [sign * a for a in ints[:n]]
+        row.extend(d if k == i else 0 for k in range(m))
+        row.append(sign * ints[n])
+        tableau.append(_primitive(row))
+    basis = list(range(n, total))
+    # reduced costs against the all-artificial start basis, times the lcm of
+    # the scales: each row weighs in at lcm / s_i, as the rational row does
+    scales = [tableau[i][n + i] for i in range(m)]
+    common = lcm(*scales)
+    cost = [0] * n + [common] * m
+    for s, row in zip(scales, tableau):
+        w = common // s
+        cost = [c - w * a for c, a in zip(cost, row)]
 
     while True:
-        enter = next((j for j in range(total) if cost[j] < 0), None)
+        enter = next((j for j, c in enumerate(cost) if c < 0), None)
         if enter is None:
             break
-        ratio = None
         leave = None
-        for i in range(m):
-            t = tableau[i][enter]
+        for i, row in enumerate(tableau):
+            t = row[enter]
             if t > 0:
-                r = b[i] / t
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio = r
-                    leave = i
+                if leave is None:
+                    leave, lt, lb = i, t, row[-1]
+                    continue
+                lhs, rhs = row[-1] * lt, lb * t  # b_i / t_i vs b_l / t_l
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, lt, lb = i, t, row[-1]
         if leave is None:
             raise RuntimeError("phase-1 objective unbounded; cannot happen")
-        piv = tableau[leave][enter]
-        tableau[leave] = [a / piv for a in tableau[leave]]
-        b[leave] /= piv
         prow = tableau[leave]
-        pb = b[leave]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * p for a, p in zip(tableau[i], prow)]
-                b[i] -= f * pb
+        piv = prow[enter]
+        for i, row in enumerate(tableau):
+            f = row[enter]
+            if i != leave and f != 0:
+                tableau[i] = _primitive([piv * a - f * p for a, p in zip(row, prow)])
         f = cost[enter]
-        cost = [c - f * p for c, p in zip(cost, prow)]
+        cost = _primitive([piv * c - f * p for c, p in zip(cost, prow)])
         basis[leave] = enter
 
-    if sum((b[i] for i in range(m) if basis[i] >= n), Fraction(0)) != 0:
+    if any(row[-1] for row, j in zip(tableau, basis) if j >= n):
         return None
     z = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            z[basis[i]] = b[i]
+    for row, j in zip(tableau, basis):
+        if j < n:
+            z[j] = Fraction(row[-1], row[j])
     return z
 
 
@@ -121,20 +137,19 @@ def lp_feasible(
     bounds = [None if lb is None else Fraction(lb) for lb in lower_bounds]
 
     shift = [lb if lb is not None else Fraction(0) for lb in bounds]
-    adjusted = tuple(
-        b[i] - sum((a[i][j] * shift[j] for j in range(n)), Fraction(0))
-        for i in range(len(a))
-    )
-    columns: list[Vector] = []
     layout: list[tuple[int, int]] = []  # (variable, sign)
     for j in range(n):
-        col = tuple(a[i][j] for i in range(len(a)))
-        columns.append(col)
         layout.append((j, 1))
         if bounds[j] is None:
-            columns.append(vec_neg(col))
             layout.append((j, -1))
-    z = _phase_one(columns, adjusted)
+    equations = [
+        _scaled(
+            [sign * row[j] for j, sign in layout]
+            + [bi - sum((aj * sj for aj, sj in zip(row, shift)), Fraction(0))]
+        )
+        for row, bi in zip(a, b)
+    ]
+    z = _phase_one(len(layout), equations)
     if z is None:
         return False, None
     x = list(shift)
@@ -154,7 +169,7 @@ def cone_member(v: Sequence, generators: Sequence[Sequence]) -> tuple[bool, Opti
     for g in gens:
         if len(g) != len(target):
             raise DimensionError("generator dimension differs from target")
-    z = _phase_one(gens, target)
+    z = _phase_one(len(gens), [_scaled(row) for row in zip(*gens, target)])
     if z is None:
         return False, None
     return True, tuple(z)
@@ -174,9 +189,13 @@ def strict_zero_combination(generators: Sequence[Sequence]) -> tuple[bool, Optio
     for g in gens:
         if len(g) != dim:
             raise DimensionError("generators have mixed dimensions")
-    # substitute lambda = 1 + mu, mu >= 0
-    target = tuple(-sum((g[i] for g in gens), Fraction(0)) for i in range(dim))
-    z = _phase_one(gens, target)
+    # substitute lambda = 1 + mu, mu >= 0: the target is -sum g_i
+    equations = []
+    for row in zip(*gens):
+        ints, d = _scaled(row)
+        ints.append(-sum(ints))
+        equations.append((ints, d))
+    z = _phase_one(len(gens), equations)
     if z is None:
         return False, None
     return True, tuple(Fraction(1) + zj for zj in z)

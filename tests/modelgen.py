@@ -8,10 +8,14 @@ import radrank
 SEED = 20260817
 
 
+def _fewest_primes(r, min_primes):
+    return max(min_primes, r + 1) if r else min_primes
+
+
 def random_model(rng, min_primes=3, max_primes=8, ranks=(0, 1, 2, 3), prefix="p"):
-    r = rng.choice(ranks)
-    lo = max(min_primes, r + 1) if r else min_primes
-    n = rng.randrange(lo, max_primes + 1)
+    # only ranks that fit: rank r > 0 needs at least r + 1 primes
+    r = rng.choice([k for k in ranks if _fewest_primes(k, min_primes) <= max_primes])
+    n = rng.randrange(_fewest_primes(r, min_primes), max_primes + 1)
     pairs = [
         (
             f"{prefix}{i:02d}",

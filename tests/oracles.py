@@ -73,6 +73,110 @@ def fm_strict_zero(gens):
     return fm_feasible(ineqs, m)
 
 
+def frac_phase_one(columns, rhs, ties=None):
+    """Phase-1 simplex over Fraction with Bland's rule: the rational tableau
+    the library's integer solver must follow pivot for pivot.  Returns z >= 0
+    with sum_j z_j * columns[j] = rhs, or None.  Each ratio-test tie is
+    appended to the list `ties`, if one is given."""
+    m = len(rhs)
+    n = len(columns)
+    tableau = []
+    b = []
+    for i in range(m):
+        row = [Fraction(columns[j][i]) for j in range(n)]
+        if rhs[i] < 0:
+            row = [-a for a in row]
+            b.append(-Fraction(rhs[i]))
+        else:
+            b.append(Fraction(rhs[i]))
+        row.extend(Fraction(1) if i2 == i else Fraction(0) for i2 in range(m))
+        tableau.append(row)
+    basis = [n + i for i in range(m)]
+    total = n + m
+    cost = []
+    for j in range(total):
+        cj = Fraction(1) if j >= n else Fraction(0)
+        cost.append(cj - sum(tableau[i][j] for i in range(m)))
+
+    while True:
+        enter = next((j for j in range(total) if cost[j] < 0), None)
+        if enter is None:
+            break
+        ratio = None
+        leave = None
+        for i in range(m):
+            t = tableau[i][enter]
+            if t > 0:
+                r = b[i] / t
+                if ties is not None and r == ratio:
+                    ties.append(r)
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
+                    ratio = r
+                    leave = i
+        piv = tableau[leave][enter]
+        tableau[leave] = [a / piv for a in tableau[leave]]
+        b[leave] /= piv
+        prow = tableau[leave]
+        pb = b[leave]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [a - f * p for a, p in zip(tableau[i], prow)]
+                b[i] -= f * pb
+        f = cost[enter]
+        cost = [c - f * p for c, p in zip(cost, prow)]
+        basis[leave] = enter
+
+    if sum((b[i] for i in range(m) if basis[i] >= n), Fraction(0)) != 0:
+        return None
+    z = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            z[basis[i]] = b[i]
+    return z
+
+
+def frac_cone_member(v, gens, ties=None):
+    """cone_member's answer, (ok, coefficients or None), by frac_phase_one."""
+    z = frac_phase_one([list(g) for g in gens], list(v), ties)
+    return (False, None) if z is None else (True, tuple(z))
+
+
+def frac_strict_zero(gens, ties=None):
+    """strict_zero_combination's answer by frac_phase_one on mu = lambda - 1."""
+    target = [
+        -sum((Fraction(g[d]) for g in gens), Fraction(0)) for d in range(len(gens[0]))
+    ]
+    z = frac_phase_one(gens, target, ties)
+    return (False, None) if z is None else (True, tuple(Fraction(1) + c for c in z))
+
+
+def frac_lp_feasible(rows, rhs, lower_bounds, ties=None):
+    """lp_feasible's answer: shift each bounded x_j by its bound, split each
+    free one into x+ - x-, and solve by frac_phase_one."""
+    rows = [[Fraction(a) for a in row] for row in rows]
+    shift = [Fraction(0) if lb is None else Fraction(lb) for lb in lower_bounds]
+    adjusted = [
+        Fraction(bi) - sum((a * s for a, s in zip(row, shift)), Fraction(0))
+        for row, bi in zip(rows, rhs)
+    ]
+    columns, layout = [], []
+    for j, lb in enumerate(lower_bounds):
+        col = [row[j] for row in rows]
+        columns.append(col)
+        layout.append((j, 1))
+        if lb is None:
+            columns.append([-a for a in col])
+            layout.append((j, -1))
+    z = frac_phase_one(columns, adjusted, ties)
+    if z is None:
+        return False, None
+    x = list(shift)
+    for zj, (j, sign) in zip(z, layout):
+        x[j] += sign * zj
+    return True, tuple(x)
+
+
 def int_exponent_zero(vectors, bound=24):
     """Is there an integer vector e with 1 <= e_i <= bound and sum e_i v_i = 0?
 

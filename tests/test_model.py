@@ -62,6 +62,13 @@ class TestModelConstruction:
         m = Model(0, [("a", ()), ("b", ())])
         assert m.vectors() == ((), ())
 
+    def test_random_model_draws_only_ranks_that_fit(self):
+        # rank 3 needs four primes, so with exactly three only ranks 0-2 fit
+        rng = fresh_rng(salt=20)
+        models = [random_model(rng, 3, 3) for _ in range(60)]
+        assert all(len(m.ids()) == 3 for m in models)
+        assert {m.ambient_rank for m in models} == {0, 1, 2}
+
 
 class TestVMembership:
     def test_opposite_pair_is_principal(self):

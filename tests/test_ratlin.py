@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import echelon_rank_transposed, fm_cone_member, fm_strict_zero
+from oracles import (
+    echelon_rank_transposed,
+    fm_cone_member,
+    fm_strict_zero,
+    frac_cone_member,
+    frac_lp_feasible,
+    frac_strict_zero,
+)
 from modelgen import fresh_rng
 from radrank import (
     DimensionError,
@@ -139,6 +146,87 @@ class TestStrictZeroCombination:
                     for d in range(dim)
                 )
                 assert total == tuple(F(0) for _ in range(dim))
+
+
+class TestIntegerTableauMatchesRationalOracle:
+    """The integer phase-1 tableau must make the rational tableau's pivots:
+    same verdict and the same witness, Fraction for Fraction."""
+
+    @staticmethod
+    def _entry(rng, small=False):
+        k = rng.random()
+        if small or k < 0.45:
+            return F(rng.randint(-2, 2))  # zeros and ratio-test ties
+        if k < 0.8:
+            return F(rng.randint(-9, 9), rng.randint(1, 9))
+        return F(rng.choice((-1, 1)), 2 ** rng.randint(0, 20))  # d2-style
+
+    def _vector(self, rng, dim, zero_rows, small):
+        return tuple(
+            F(0) if d in zero_rows else self._entry(rng, small) for d in range(dim)
+        )
+
+    @staticmethod
+    def _same(got, want):
+        assert got == want
+        if got[1] is not None:
+            assert all(type(x) is F for x in got[1])
+
+    def test_fixed_edge_cases(self):
+        # 0 rows: n zero coefficients, not an empty tuple
+        self._same(cone_member((), [(), ()]), (True, (F(0), F(0))))
+        self._same(strict_zero_combination([(), ()]), (True, (F(1), F(1))))
+        self._same(lp_feasible([], [], [F(2), None]), (True, (F(2), F(0))))
+        # 0 generators
+        self._same(cone_member((0,), []), frac_cone_member((0,), []))
+        self._same(cone_member((-1, 0), []), frac_cone_member((-1, 0), []))
+        self._same(lp_feasible([[]], [0], []), frac_lp_feasible([[]], [0], []))
+        self._same(lp_feasible([[]], [-3], []), frac_lp_feasible([[]], [-3], []))
+        # one vertex reached along tied ratios
+        gens = [(1, 0), (0, 1), (1, 1), (2, 2)]
+        self._same(cone_member((2, 2), gens), frac_cone_member((2, 2), gens))
+        # a tie that only the basis-index rule breaks: taking the first tied
+        # row instead ends at (0, 1/2, 0, 1)
+        gens = [(-2, -1, 1), (0, 0, 2), (1, 0, 1), (0, 2, -1)]
+        want = (True, (F(2, 5), F(0), F(4, 5), F(6, 5)))
+        assert frac_cone_member((0, 2, 0), gens) == want
+        self._same(cone_member((0, 2, 0), gens), want)
+
+    def test_random_systems_through_every_entry_point(self):
+        rng = fresh_rng(salt=15)
+        ties = []
+        counts = {"cone": 0, "strict": 0, "lp": 0}
+        for trial in range(12_000):
+            dim = rng.randrange(0, 5)
+            count = rng.randrange(0, 7)
+            zero_rows = {d for d in range(dim) if rng.random() < 0.1}
+            small = rng.random() < 0.5
+            gens = [self._vector(rng, dim, zero_rows, small) for _ in range(count)]
+            target = self._vector(
+                rng, dim, zero_rows if rng.random() < 0.5 else (), small
+            )
+            kind = trial % 3
+            if kind == 0:
+                self._same(
+                    cone_member(target, gens), frac_cone_member(target, gens, ties)
+                )
+                counts["cone"] += 1
+            elif kind == 1 and gens:
+                self._same(strict_zero_combination(gens), frac_strict_zero(gens, ties))
+                counts["strict"] += 1
+            elif kind == 2:
+                # the generators are the columns of the equation matrix
+                rows = [[g[d] for g in gens] for d in range(dim)]
+                bounds = [
+                    rng.choice((None, F(0), F(1), self._entry(rng))) for _ in gens
+                ]
+                self._same(
+                    lp_feasible(rows, target, bounds),
+                    frac_lp_feasible(rows, target, bounds, ties),
+                )
+                counts["lp"] += 1
+        assert sum(counts.values()) >= 10_000 and min(counts.values()) >= 3_000
+        assert len(ties) >= 500
 
 
 class TestLinearRank:

@@ -299,7 +299,7 @@ class TestFindIso:
                 pairs.append((m, relabeled(m, dict(zip(m.ids(), names)))))
             else:
                 n = len(m.ids())
-                pairs.append((m, random_model(rng, n, n, ranks=range(min(n, 4)))))
+                pairs.append((m, random_model(rng, n, n)))
         found = 0
         for ma, mb in pairs:
             want = iso_by_permutations(
