@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import claborn, rank as rank_ops, semilattice
 from .cones import GeneratorSet, max_weak_reay
@@ -63,7 +63,9 @@ def _family_json(family) -> list[list[str]]:
 
 
 # --- handlers ----------------------------------------------------------------
-# each returns (exit code, results dict, text lines, digest parts)
+# each returns (exit code, results dict, text lines, digest parts); long text
+# lines come as a generator over `results`, formatted only when printed
+# without --json and holding nothing the report does not
 
 def _cmd_validate(ns) -> tuple[int, dict, list[str], list[str]]:
     m, text = _load(ns.model)
@@ -95,11 +97,11 @@ def _cmd_v_member(ns) -> tuple[int, dict, list[str], list[str]]:
     )
 
 
-def _cmd_enumerate_v(ns) -> tuple[int, dict, list[str], list[str]]:
+def _cmd_enumerate_v(ns) -> tuple[int, dict, Iterable[str], list[str]]:
     m, text = _load(ns.model)
     members = enumerate_v(m)
     results = {"members": _family_json(members), "count": len(members)}
-    lines = [_support_text(s) for s in members]
+    lines = (_support_text(s) for s in results["members"])
     return 0, results, lines, ["enumerate-v", text]
 
 
@@ -120,7 +122,7 @@ def _cmd_coprime(ns) -> tuple[int, dict, list[str], list[str]]:
     return 0 if raw else 1, results, lines, ["coprime", *ns.supports, text]
 
 
-def _cmd_mprop(ns) -> tuple[int, dict, list[str], list[str]]:
+def _cmd_mprop(ns) -> tuple[int, dict, Iterable[str], list[str]]:
     m, text = _load(ns.model)
     families = [(semilattice.theta(m, f), f) for f in semilattice.mprop(m)]
     results = {
@@ -129,10 +131,10 @@ def _cmd_mprop(ns) -> tuple[int, dict, list[str], list[str]]:
             for prime, family in families
         ]
     }
-    lines = [
-        f"{prime}: " + " ".join(_support_text(s) for s in family)
-        for prime, family in families
-    ]
+    lines = (
+        f"{fam['prime']}: " + " ".join(_support_text(s) for s in fam["members"])
+        for fam in results["families"]
+    )
     return 0, results, lines, ["mprop", text]
 
 

@@ -9,7 +9,8 @@ class ResourceLimitError(RuntimeError):
     """An exhaustive search was refused for exceeding WORK_BUDGET."""
 
 
-# Most primes or generators an exhaustive subset search (2^n LPs, 3^n chain
+# Most primes or generators an exhaustive subset search (2^n subsets given a
+# verdict, of which at most sum_{k <= rank + 1} C(n, k) need an LP; 3^n chain
 # steps) may run over; beyond it the search is refused, not left to run.
 WORK_BUDGET = 12
 

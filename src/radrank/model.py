@@ -5,6 +5,13 @@ set of primes is a *principal support* when some strictly positive rational
 combination of its class vectors vanishes; the family V of all principal
 supports is the finite poset everything downstream works on.  Membership is
 decided exactly, and every answer is cached on the model, which is immutable.
+
+V is closed under unions, and each member is a union of positive circuits:
+the supports of the extreme rays of {lambda >= 0 : A lambda = 0}, each of at
+most rank + 1 primes (rank = linear rank of the class vectors).  So
+`enumerate_v` settles a subset covered by the members below it as a member,
+an uncovered one of more than rank + 1 primes as a non-member, and runs the
+LP only on the rest: at most sum_{k <= rank + 1} C(n, k) LPs over n primes.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ class Model:
     primes: tuple[tuple[PrimeId, Vector], ...]
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
     _by_id: dict = field(init=False, compare=False, repr=False)
+    _ids: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.ambient_rank < 0:
@@ -68,9 +76,10 @@ class Model:
         cleaned.sort(key=lambda item: item[0])
         object.__setattr__(self, "primes", tuple(cleaned))
         object.__setattr__(self, "_by_id", dict(cleaned))
+        object.__setattr__(self, "_ids", tuple(self._by_id))
 
     def ids(self) -> tuple[PrimeId, ...]:
-        return tuple(self._by_id)
+        return self._ids
 
     def vector(self, pid: PrimeId) -> Vector:
         if pid not in self._by_id:
@@ -110,18 +119,39 @@ def v_membership(m: Model, support: Iterable[PrimeId]) -> bool:
 
 
 def enumerate_v(m: Model) -> tuple[Support, ...]:
-    """All principal supports, ordered by (size, sorted ids)."""
+    """All principal supports, ordered by (size, sorted ids).
+
+    Subsets are visited in that order, with `inside[mask]` the union of the
+    members contained in `mask`.  A subset covered by the members below it is
+    a member (union closure); an uncovered one of more than rank + 1 primes is
+    not, since every positive circuit fits in rank + 1 primes; only the other
+    subsets get the LP.  Each verdict is stored under `v_membership`'s cache
+    key and read back through it, one call per subset.
+    """
     ids = m.ids()
     check_budget(len(ids), "enumerating V over the primes")
     got = m._cache.get("enumerate")
     if got is None:
-        members = []
+        most = linear_rank(m.vectors()) + 1
+        inside = [0] * (1 << len(ids))
+        members, masks = [], []
         for size in range(1, len(ids) + 1):
-            for combo in combinations(ids, size):
-                if v_membership(m, combo):
-                    members.append(frozenset(combo))
+            for combo in combinations(range(len(ids)), size):
+                mask = sum(1 << i for i in combo)
+                below = 0
+                for i in combo:
+                    below |= inside[mask ^ (1 << i)]
+                support = frozenset(ids[i] for i in combo)
+                if below == mask or size > most:
+                    m._cache.setdefault(("member", support), below == mask)
+                if v_membership(m, support):
+                    members.append(support)
+                    masks.append(mask)
+                    below = mask
+                inside[mask] = below
         got = tuple(members)
         m._cache["enumerate"] = got
+        m._cache["masks"] = tuple(masks)
     return got
 
 
@@ -133,8 +163,7 @@ def support_mask(ids: Sequence[PrimeId], support: Collection[PrimeId]) -> int:
 
 def v_masks(m: Model) -> tuple[int, ...]:
     """`enumerate_v(m)` as support masks over `m.ids()`, in the same order."""
-    if "masks" not in m._cache:
-        m._cache["masks"] = tuple(support_mask(m.ids(), s) for s in enumerate_v(m))
+    enumerate_v(m)
     return m._cache["masks"]
 
 

@@ -2,11 +2,16 @@
 
 Everything here trades speed for obviousness: quantifiers are spelled out as
 loops, searches are exhaustive, and nothing shares code with the package
-under test beyond the data types it consumes.  Keep inputs tiny.
+under test beyond the data types it consumes.  The one exception is
+`v_by_lp`, which runs the package's LP on every subset: it checks the
+enumeration built around that LP, and the LP itself is checked against
+`frac_phase_one`.  Keep inputs tiny.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+from radrank.ratlin import strict_zero_combination
 
 # An inequality is (coeffs, rhs) meaning sum(c_i * x_i) <= rhs.
 
@@ -355,3 +360,14 @@ def least_longest_chain(labels, is_closed):
         if best is None or key < best[0]:
             best = (key, tuple(chain))
     return None if best is None else best[1]
+
+
+def v_by_lp(m):
+    """{support: principal?} for every nonempty subset of m's primes, ordered
+    by (size, sorted ids), with one strict_zero_combination LP per subset."""
+    ids = m.ids()
+    return {
+        frozenset(combo): strict_zero_combination([m.vector(p) for p in combo])[0]
+        for size in range(1, len(ids) + 1)
+        for combo in combinations(ids, size)
+    }

@@ -12,7 +12,8 @@ from modelgen import (
     random_positive_scales,
     zero_model,
 )
-from oracles import int_exponent_zero
+from oracles import int_exponent_zero, v_by_lp
+import radrank.model
 from radrank import (
     Model,
     ModelFormatError,
@@ -24,6 +25,7 @@ from radrank import (
     gen_d1,
     gen_d2,
     gen_d3,
+    linear_rank,
     load_model,
     loads_model,
     save_model,
@@ -156,6 +158,92 @@ class TestEnumerateV:
             full = 2**n - 1
             all_zero = all(all(x == 0 for x in v) for v in m.vectors())
             assert (len(enumerate_v(m)) == full) == all_zero
+
+
+def _degenerate_model(rng):
+    """Rank 0-4, 1-9 primes; classes drawn from a span of at most the ambient
+    rank, with zero and repeated classes mixed in."""
+    r = rng.randint(0, 4)
+    zero = tuple(F(0) for _ in range(r))
+    basis = [
+        tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r))
+        for _ in range(rng.randint(0, r))
+    ]
+    classes = []
+    for _ in range(rng.randint(1, 9)):
+        draw = rng.random()
+        if classes and draw < 0.2:
+            classes.append(rng.choice(classes))
+        elif draw < 0.35 or not basis:
+            classes.append(zero)
+        else:
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            classes.append(
+                tuple(sum(c * b[d] for c, b in zip(coeffs, basis)) for d in range(r))
+            )
+    return Model(r, [(f"q{i}", v) for i, v in enumerate(classes)])
+
+
+class TestEnumerateVAgainstLP:
+    """enumerate_v's union closure against one LP per subset."""
+
+    def _check(self, m):
+        verdicts = v_by_lp(m)
+        assert enumerate_v(m) == tuple(s for s, ok in verdicts.items() if ok)
+        cached = {
+            key[1]: ok
+            for key, ok in m._cache.items()
+            if isinstance(key, tuple) and key[0] == "member"
+        }
+        assert cached == verdicts
+
+    def test_d_families(self):
+        # the generators need at least two primes; one prime is covered below
+        for gen in (gen_d1, gen_d2, gen_d3):
+            for k in range(2, 13):
+                self._check(gen(k))
+
+    def test_random_models(self):
+        rng = fresh_rng(salt=33)
+        models = [random_model(rng, 1, 9, ranks=range(5)) for _ in range(200)]
+        models += [_degenerate_model(rng) for _ in range(300)]
+        for m in models:
+            self._check(m)
+        vecs = [m.vectors() for m in models]
+        # the population holds every shape the closure has to get right
+        assert {m.ambient_rank for m in models} == {0, 1, 2, 3, 4}
+        assert {len(v) for v in vecs} == set(range(1, 10))
+        assert sum(linear_rank(v) < m.ambient_rank for m, v in zip(models, vecs)) >= 50
+        assert sum(any(not any(x) for x in v) for v in vecs) >= 50
+        assert sum(len(set(v)) < len(v) for v in vecs) >= 50
+
+
+class TestEnumerateVLPCount:
+    """Only uncovered subsets of at most rank + 1 primes reach the LP."""
+
+    def _lp_calls(self, monkeypatch, m):
+        calls = []
+        real = radrank.model.strict_zero_combination
+
+        def counted(gens):
+            calls.append(len(gens))
+            return real(gens)
+
+        monkeypatch.setattr(radrank.model, "strict_zero_combination", counted)
+        enumerate_v(m)
+        return calls
+
+    def test_rank_one(self, monkeypatch):
+        calls = self._lp_calls(monkeypatch, gen_d1(12))
+        assert 0 < len(calls) <= 12 + 66  # C(12, 1) + C(12, 2)
+        assert max(calls) <= 2
+
+    def test_rank_three(self, monkeypatch):
+        m = random_model(fresh_rng(salt=34), 12, 12, ranks=(3,))
+        assert linear_rank(m.vectors()) == 3
+        calls = self._lp_calls(monkeypatch, m)
+        assert 0 < len(calls) <= 12 + 66 + 220 + 495  # sum of C(12, k), k <= 4
+        assert max(calls) <= 4
 
 
 class TestValidate:
