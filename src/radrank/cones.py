@@ -1,20 +1,24 @@
 """Positive cones over Q^n: spanning tests, positive bases, weak Reay partitions.
 
 A finite set S positively spans its linear span iff -(sum of S) lies in the
-nonnegative hull of S (Gordan's alternative), and that one LP drives every
-spanning decision here; the per-generator form is kept only as a test oracle.
-Partitions are represented by their chains of prefix unions; the
-maximum-cardinality search is an exhaustive dynamic program over the subset
-lattice, which caps the practical size at a dozen generators.
+nonnegative hull of S, iff some strictly positive combination of S vanishes
+(Gordan's alternative); the per-generator form is kept only as a test oracle.
+The sets that positively span their span form a union-closed family, and each
+member is a union of positive circuits of at most rank + 1 vectors, so
+`union_closure` settles all 2^n subsets with LPs on the uncovered ones of at
+most rank + 1 vectors only.  Partitions are represented by their chains of
+prefix unions; the maximum-cardinality search is a dynamic program over the
+subset lattice, which caps the practical size at a dozen generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionError, PreconditionError, check_budget
-from .ratlin import Vector, cone_member, linear_rank, vec
+from .ratlin import Vector, cone_member, linear_rank, strict_zero_combination, vec
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,30 @@ def extract_positive_basis(x: Generators, n: int) -> GeneratorSet:
     return gens.subset(kept)
 
 
+def union_closure(count: int, most: int, decide: Callable[[int], bool]) -> list[int]:
+    """Settle every subset of `count` items for a union-closed family whose
+    members are all unions of members of at most `most` items.
+
+    Subsets are int masks (bit i is item i), visited in (size, sorted index)
+    order.  Returns `inside`, where `inside[mask]` is the union of the
+    members contained in `mask`, so mask is a member iff `inside[mask] ==
+    mask`; the empty set always is.  A subset covered by the members below
+    it is a member; an uncovered one of more than `most` items is not;
+    `decide(mask)` is called on each remaining subset only.
+    """
+    inside = [0] * (1 << count)
+    for size in range(1, count + 1):
+        for combo in combinations(range(count), size):
+            mask = sum(1 << i for i in combo)
+            below = 0
+            for i in combo:
+                below |= inside[mask ^ (1 << i)]
+            if below == mask or (size <= most and decide(mask)):
+                below = mask
+            inside[mask] = below
+    return inside
+
+
 def longest_closed_chain(
     labels: Sequence[str], is_closed: Callable[[int], bool]
 ) -> tuple[frozenset[str], ...]:
@@ -180,6 +208,11 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
     Returns (s, blocks) where the prefix unions of the ordered blocks all
     positively span their own span.  The input must positively span its span,
     otherwise no such partition exists at all.
+
+    The closed sets are the empty set and the subsets with a strictly
+    positive zero combination.  `union_closure` settles them with one
+    `strict_zero_combination` LP per uncovered subset of at most rank + 1
+    generators, at most sum_{k <= rank + 1} C(n, k) LPs.
     """
     gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(x)
     if len(gens) == 0:
@@ -187,13 +220,15 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
     if not positively_spans_its_span(gens.vectors):
         raise PreconditionError("generators do not positively span their span")
     vecs = gens.vectors
+    check_budget(len(vecs), "the chain search over the labels")
 
-    def closed(mask: int) -> bool:
-        return positively_spans_its_span(
+    def principal(mask: int) -> bool:
+        return strict_zero_combination(
             [v for i, v in enumerate(vecs) if mask >> i & 1]
-        )
+        )[0]
 
-    chain = longest_closed_chain(gens.labels, closed)
+    inside = union_closure(len(vecs), linear_rank(vecs) + 1, principal)
+    chain = longest_closed_chain(gens.labels, lambda mask: inside[mask] == mask)
     blocks = tuple(
         frozenset(cur - prev) for prev, cur in zip(chain, chain[1:])
     )

@@ -20,6 +20,7 @@ from .cones import (
     max_weak_reay,
     positively_spans_its_span,
     positively_spans_rank,
+    union_closure,
 )
 from .errors import PreconditionError, check_budget
 from .model import Model, PrimeId, Support, enumerate_v, support_mask, v_masks, v_membership
@@ -151,18 +152,13 @@ def recover_rank(m: Model) -> int:
 
     # A subset is self-inverse when each of its primes lies in a member inside
     # it, i.e. when it is the union of the members it contains.  The chain
-    # search's masks index delta_ids, so members inside delta are encoded so.
+    # search's masks index delta_ids, so members inside delta are encoded so;
+    # with no size bound, only the subsets no smaller member covers are
+    # looked up among them.
     delta_ids = [pid for i, pid in enumerate(ids) if delta >> i & 1]
-    inside = [
+    members = {
         support_mask(delta_ids, s) for s in enumerate_v(m) if s.issubset(delta_ids)
-    ]
-
-    def self_inverse(subset: int) -> bool:
-        union = 0
-        for mask in inside:
-            if mask & ~subset == 0:
-                union |= mask
-        return union == subset
-
-    chain_sets = longest_closed_chain(delta_ids, self_inverse)
+    }
+    inside = union_closure(len(delta_ids), len(delta_ids), members.__contains__)
+    chain_sets = longest_closed_chain(delta_ids, lambda mask: inside[mask] == mask)
     return len(delta_ids) - (len(chain_sets) - 1)

@@ -2,15 +2,17 @@
 
 Everything here trades speed for obviousness: quantifiers are spelled out as
 loops, searches are exhaustive, and nothing shares code with the package
-under test beyond the data types it consumes.  The one exception is
-`v_by_lp`, which runs the package's LP on every subset: it checks the
-enumeration built around that LP, and the LP itself is checked against
-`frac_phase_one`.  Keep inputs tiny.
+under test beyond the data types it consumes.  The two exceptions are
+`v_by_lp` and `reay_by_lp`, which run the package's LP on every subset: they
+check the union closures built around that LP, and the LP itself is checked
+against `frac_phase_one`.  Keep inputs tiny.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from radrank.cones import GeneratorSet, longest_closed_chain, positively_spans_its_span
+from radrank.errors import PreconditionError
 from radrank.ratlin import strict_zero_combination
 
 # An inequality is (coeffs, rhs) meaning sum(c_i * x_i) <= rhs.
@@ -32,28 +34,57 @@ def _eliminate_last(ineqs):
     return rest
 
 
-def fm_feasible(ineqs, nvars):
-    """Fourier-Motzkin elimination over <= inequalities; verdict only."""
-    system = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in ineqs]
+def _substitute(eqs, ineqs):
+    """Solve each equation for a variable left in it and substitute that
+    variable out of the other rows.  Returns the inequalities so rewritten,
+    or None if some equation reduces to 0 = b with b != 0."""
+    while eqs:
+        coeffs, rhs = eqs.pop()
+        j = next((j for j, a in enumerate(coeffs) if a), None)
+        if j is None:
+            if rhs:
+                return None
+            continue
+
+        def sub(row):
+            c, r = row
+            if not c[j]:
+                return row
+            f = c[j] / coeffs[j]
+            return [a - f * b for a, b in zip(c, coeffs)], r - f * rhs
+
+        eqs = [sub(e) for e in eqs]
+        ineqs = [sub(i) for i in ineqs]
+    return ineqs
+
+
+def fm_feasible(ineqs, nvars, eqs=()):
+    """Feasibility of <= inequalities and = equations; verdict only.  The
+    equations are substituted out first, then Fourier-Motzkin eliminates
+    every variable from the inequalities left."""
+    def exact(rows):
+        return [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in rows]
+
+    system = _substitute(exact(eqs), exact(ineqs))
+    if system is None:
+        return False
     for _ in range(nvars):
         system = _eliminate_last(system)
     return all(rhs >= 0 for _, rhs in system)
 
 
+def _bounded_below(m, bound):
+    """-z_j <= -bound for each of m variables, i.e. z_j >= bound."""
+    return [
+        ([Fraction(-1) if k == j else Fraction(0) for k in range(m)], -Fraction(bound))
+        for j in range(m)
+    ]
+
+
 def fm_cone_member(v, gens):
     """Is v a nonnegative combination of gens?  Elimination route."""
-    m = len(gens)
-    dim = len(v)
-    ineqs = []
-    for d in range(dim):
-        row = [Fraction(g[d]) for g in gens]
-        ineqs.append((row, Fraction(v[d])))
-        ineqs.append(([-c for c in row], -Fraction(v[d])))
-    for j in range(m):
-        unit = [Fraction(0)] * m
-        unit[j] = Fraction(-1)
-        ineqs.append((unit, Fraction(0)))
-    return fm_feasible(ineqs, m)
+    eqs = [([Fraction(g[d]) for g in gens], Fraction(v[d])) for d in range(len(v))]
+    return fm_feasible(_bounded_below(len(gens), 0), len(gens), eqs)
 
 
 def spans_by_negations(vecs):
@@ -64,18 +95,8 @@ def spans_by_negations(vecs):
 
 def fm_strict_zero(gens):
     """Does some combination with every coefficient >= 1 reach zero?"""
-    m = len(gens)
-    dim = len(gens[0])
-    ineqs = []
-    for d in range(dim):
-        row = [Fraction(g[d]) for g in gens]
-        ineqs.append((row, Fraction(0)))
-        ineqs.append(([-c for c in row], Fraction(0)))
-    for j in range(m):
-        unit = [Fraction(0)] * m
-        unit[j] = Fraction(-1)
-        ineqs.append((unit, Fraction(-1)))
-    return fm_feasible(ineqs, m)
+    eqs = [([Fraction(g[d]) for g in gens], Fraction(0)) for d in range(len(gens[0]))]
+    return fm_feasible(_bounded_below(len(gens), 1), len(gens), eqs)
 
 
 def frac_phase_one(columns, rhs, ties=None):
@@ -348,18 +369,25 @@ def least_longest_chain(labels, is_closed):
     """Among the ordered partitions of labels whose prefix unions (the empty
     one included) all pass `is_closed`, one with the most blocks; ties go to
     the least chain of prefix unions, each compared as a sorted tuple.
-    Returns that chain, from the empty set to all labels, or None."""
-    best = None
-    for part in ordered_partitions(sorted(labels)):
-        chain = [frozenset()]
-        for block in part:
-            chain.append(chain[-1] | block)
-        if not all(is_closed(s) for s in chain):
-            continue
-        key = (-len(chain), [sorted(s) for s in chain])
-        if best is None or key < best[0]:
-            best = (key, tuple(chain))
-    return None if best is None else best[1]
+    Returns that chain, from the empty set to all labels, or None.  The
+    partitions are grown block by block, and a prefix union that fails
+    `is_closed` ends every partition through it."""
+    labels = sorted(labels)
+    chains = []
+
+    def grow(chain):
+        rest = [l for l in labels if l not in chain[-1]]
+        if not rest:
+            chains.append(tuple(chain))
+        for size in range(1, len(rest) + 1):
+            for block in combinations(rest, size):
+                step = chain[-1] | frozenset(block)
+                if is_closed(step):
+                    grow(chain + [step])
+
+    if is_closed(frozenset()):
+        grow([frozenset()])
+    return min(chains, key=lambda c: (-len(c), [sorted(s) for s in c]), default=None)
 
 
 def v_by_lp(m):
@@ -371,3 +399,23 @@ def v_by_lp(m):
         for size in range(1, len(ids) + 1)
         for combo in combinations(ids, size)
     }
+
+
+def reay_by_lp(gens):
+    """`max_weak_reay`'s (s, blocks) with one positively_spans_its_span LP
+    per subset as the closed-set predicate of `longest_closed_chain`."""
+    if not isinstance(gens, GeneratorSet):
+        gens = GeneratorSet.from_vectors(gens)
+    if len(gens) == 0:
+        return 0, ()
+    if not positively_spans_its_span(gens.vectors):
+        raise PreconditionError("generators do not positively span their span")
+    vecs = gens.vectors
+    chain = longest_closed_chain(
+        gens.labels,
+        lambda mask: positively_spans_its_span(
+            [v for i, v in enumerate(vecs) if mask >> i & 1]
+        ),
+    )
+    blocks = tuple(cur - prev for prev, cur in zip(chain, chain[1:]))
+    return len(blocks), blocks

@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 from modelgen import fresh_rng, random_invertible_matrix
-from oracles import least_longest_chain, max_reay_by_enumeration, spans_by_negations
+from oracles import (
+    least_longest_chain,
+    max_reay_by_enumeration,
+    reay_by_lp,
+    spans_by_negations,
+)
+import radrank.cones
 from radrank import (
     GeneratorSet,
     PreconditionError,
@@ -190,6 +196,138 @@ class TestMaxWeakReay:
                 return spans_by_negations(gens.subset(subset).vectors)
 
             assert s == max_reay_by_enumeration(gens.labels, closed)
+
+
+def _reay_population(rng, count):
+    """`count` generator lists: 0-9 vectors in dimension 0-4, drawn from a
+    span of at most the dimension, with zero, repeated and negated vectors
+    mixed in; half of those with two or more vectors have the last one
+    replaced by the negated sum of the others, so that they span."""
+    sets = []
+    for _ in range(count):
+        dim = rng.randint(0, 4)
+        basis = [
+            tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+            for _ in range(rng.randint(min(dim, 1), dim))
+        ]
+        vecs = []
+        for _ in range(rng.randint(0, 9)):
+            draw = rng.random()
+            if vecs and draw < 0.15:
+                vecs.append(rng.choice(vecs))
+            elif vecs and draw < 0.3:
+                vecs.append(tuple(-x for x in rng.choice(vecs)))
+            elif 0.3 <= draw < 0.4 or not basis:
+                vecs.append(tuple(F(0) for _ in range(dim)))
+            else:
+                coeffs = [rng.randint(-2, 2) for _ in basis]
+                vecs.append(
+                    tuple(sum(c * b[d] for c, b in zip(coeffs, basis)) for d in range(dim))
+                )
+        if len(vecs) > 1 and rng.random() < 0.5:
+            vecs[-1] = tuple(-sum(v[d] for v in vecs[:-1]) for d in range(dim))
+        sets.append(vecs)
+    return sets
+
+
+def _reay_or_refusal(route, vecs):
+    try:
+        return route(vecs)
+    except PreconditionError:
+        return "refused"
+
+
+class TestMaxWeakReayAgainstOracles:
+    """max_weak_reay's union closure against one spanning LP per subset and,
+    on six or fewer vectors, against a route sharing no solver code."""
+
+    SETS = _reay_population(fresh_rng(salt=24), 500)
+
+    def test_population_holds_every_shape_the_closure_must_get_right(self):
+        spanning = [v for v in self.SETS if positively_spans_its_span(v)]
+        assert {len(v[0]) for v in self.SETS if v} == set(range(5))
+        assert {len(v) for v in spanning} == set(range(10))
+        assert len(self.SETS) - len(spanning) >= 100
+        assert sum(linear_rank(v) < len(v[0]) for v in spanning if v) >= 50
+        assert sum(any(not any(x) for x in v) for v in spanning) >= 50
+        assert sum(len(set(v)) < len(v) for v in spanning) >= 50
+        assert sum(
+            any(tuple(-x for x in u) in v for u in v if any(u)) for v in spanning
+        ) >= 50
+        assert sum(
+            any(x.denominator > 1 for u in v for x in u) for v in spanning
+        ) >= 50
+
+    def test_matches_one_lp_per_subset(self):
+        for vecs in self.SETS:
+            want = _reay_or_refusal(reay_by_lp, vecs)
+            assert _reay_or_refusal(max_weak_reay, vecs) == want
+
+    def test_matches_fourier_motzkin_on_six_or_fewer(self):
+        # Fourier-Motzkin per generator, and the chain over every ordered
+        # partition with closed prefixes
+        for vecs in self.SETS:
+            if len(vecs) > 6:
+                continue
+            gens = GeneratorSet.from_vectors(vecs)
+            memo = {}
+
+            def closed(subset):
+                if subset not in memo:
+                    memo[subset] = spans_by_negations(gens.subset(subset).vectors)
+                return memo[subset]
+
+            chain = least_longest_chain(gens.labels, closed)
+            want = "refused" if chain is None else (
+                len(chain) - 1,
+                tuple(cur - prev for prev, cur in zip(chain, chain[1:])),
+            )
+            assert _reay_or_refusal(max_weak_reay, vecs) == want
+
+
+class TestMaxWeakReayLPCount:
+    """Only uncovered subsets of at most rank + 1 generators reach the LP."""
+
+    def _counted(self, monkeypatch):
+        sweep, spanning = [], []
+        real_sweep = radrank.cones.strict_zero_combination
+        real_spanning = radrank.cones.positively_spans_its_span
+
+        def counted_sweep(gens):
+            sweep.append(len(gens))
+            return real_sweep(gens)
+
+        def counted_spanning(x):
+            spanning.append(x)
+            return real_spanning(x)
+
+        monkeypatch.setattr(radrank.cones, "strict_zero_combination", counted_sweep)
+        monkeypatch.setattr(radrank.cones, "positively_spans_its_span", counted_spanning)
+        return sweep, spanning
+
+    @pytest.mark.parametrize("rank,bound", [(2, 9 + 36 + 84), (3, 9 + 36 + 84 + 126)])
+    def test_nine_vectors(self, monkeypatch, rank, bound):
+        rng = fresh_rng(salt=25 + rank)
+        sets = []
+        while len(sets) < 6:
+            vecs = [tuple(F(rng.randint(-3, 3)) for _ in range(rank)) for _ in range(9)]
+            if linear_rank(vecs) == rank and positively_spans_its_span(vecs):
+                sets.append(vecs)
+        sweep, spanning = self._counted(monkeypatch)
+        for vecs in sets:
+            del sweep[:], spanning[:]
+            max_weak_reay(vecs)
+            assert len(spanning) == 1
+            assert 0 < len(sweep) <= bound
+            assert max(sweep) <= rank + 1
+
+    def test_budget_refusal_comes_before_the_sweep(self, monkeypatch):
+        sweep, spanning = self._counted(monkeypatch)
+        vecs = [(1,), (-1,)] * 6 + [(1,)]  # 13 generators
+        with pytest.raises(ResourceLimitError, match="chain search.*WORK_BUDGET"):
+            max_weak_reay(vecs)
+        assert len(spanning) == 1
+        assert sweep == []
 
 
 class TestLongestClosedChain:
