@@ -11,6 +11,7 @@ usage, format, or precondition problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -275,7 +276,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and building it costs more than most commands."""
     parser = argparse.ArgumentParser(
         prog="radrank",
         description="Support posets and rank recovery for class-data models.",
@@ -334,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     handler = _HANDLERS[ns.command]
     started = time.perf_counter()
     try:

@@ -4,11 +4,12 @@ A finite set S positively spans its linear span iff -(sum of S) lies in the
 nonnegative hull of S, iff some strictly positive combination of S vanishes
 (Gordan's alternative); the per-generator form is kept only as a test oracle.
 The sets that positively span their span form a union-closed family, and each
-member is a union of positive circuits of at most rank + 1 vectors, so
-`union_closure` settles all 2^n subsets with LPs on the uncovered ones of at
-most rank + 1 vectors only.  Partitions are represented by their chains of
-prefix unions; the maximum-cardinality search is a dynamic program over the
-subset lattice, which caps the practical size at a dozen generators.
+member is a union of positive circuits of at most rank + 1 vectors.  An
+uncovered member is itself a circuit, so `union_closure` settles all 2^n
+subsets with the exact circuit test `positive_circuit` on the uncovered ones
+of at most rank + 1 vectors, and no LP.  Partitions are represented by their
+chains of prefix unions; the maximum-cardinality search is a dynamic program
+over the subset lattice, which caps the practical size at a dozen generators.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionError, PreconditionError, check_budget
-from .ratlin import Vector, cone_member, linear_rank, strict_zero_combination, vec
+from .ratlin import (
+    Vector, cone_member, integer_columns, linear_rank, positive_circuit, vec
+)
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,10 @@ def union_closure(count: int, most: int, decide: Callable[[int], bool]) -> list[
     members contained in `mask`, so mask is a member iff `inside[mask] ==
     mask`; the empty set always is.  A subset covered by the members below
     it is a member; an uncovered one of more than `most` items is not;
-    `decide(mask)` is called on each remaining subset only.
+    `decide(mask)` is called on each remaining subset only.  A member left
+    uncovered is no union of smaller members, so it has at most `most`
+    items, and a `decide` that accepts exactly such members (for principal
+    sets: the positive circuits) is complete.
     """
     inside = [0] * (1 << count)
     for size in range(1, count + 1):
@@ -211,8 +217,9 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
 
     The closed sets are the empty set and the subsets with a strictly
     positive zero combination.  `union_closure` settles them with one
-    `strict_zero_combination` LP per uncovered subset of at most rank + 1
-    generators, at most sum_{k <= rank + 1} C(n, k) LPs.
+    `positive_circuit` test per uncovered subset of at most rank + 1
+    generators, at most sum_{k <= rank + 1} C(n, k) tests; the only LP is
+    the spanning precondition.
     """
     gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(x)
     if len(gens) == 0:
@@ -221,13 +228,14 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
         raise PreconditionError("generators do not positively span their span")
     vecs = gens.vectors
     check_budget(len(vecs), "the chain search over the labels")
+    cols = integer_columns(vecs)
 
-    def principal(mask: int) -> bool:
-        return strict_zero_combination(
-            [v for i, v in enumerate(vecs) if mask >> i & 1]
-        )[0]
+    def circuit(mask: int) -> bool:
+        return positive_circuit(
+            [c for i, c in enumerate(cols) if mask >> i & 1]
+        ) is not None
 
-    inside = union_closure(len(vecs), linear_rank(vecs) + 1, principal)
+    inside = union_closure(len(vecs), linear_rank(vecs) + 1, circuit)
     chain = longest_closed_chain(gens.labels, lambda mask: inside[mask] == mask)
     blocks = tuple(
         frozenset(cur - prev) for prev, cur in zip(chain, chain[1:])

@@ -10,8 +10,10 @@ V is closed under unions, and each member is a union of positive circuits:
 the supports of the extreme rays of {lambda >= 0 : A lambda = 0}, each of at
 most rank + 1 primes (rank = linear rank of the class vectors).  So
 `enumerate_v` settles a subset covered by the members below it as a member,
-an uncovered one of more than rank + 1 primes as a non-member, and runs the
-LP only on the rest: at most sum_{k <= rank + 1} C(n, k) LPs over n primes.
+an uncovered one of more than rank + 1 primes as a non-member, and the rest
+by `positive_circuit`, since an uncovered member is itself a circuit: at
+most sum_{k <= rank + 1} C(n, k) exact kernel tests over n primes and no LP.
+`v_membership` on a single support is the LP.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from .errors import ModelFormatError, check_budget
 from .ratlin import (
     Vector,
     format_vector,
+    integer_columns,
     linear_rank,
     mat_vec,
     parse_rational,
+    positive_circuit,
     strict_zero_combination,
     vec,
 )
@@ -124,14 +128,16 @@ def enumerate_v(m: Model) -> tuple[Support, ...]:
     Subsets are visited in that order, with `inside[mask]` the union of the
     members contained in `mask`.  A subset covered by the members below it is
     a member (union closure); an uncovered one of more than rank + 1 primes is
-    not, since every positive circuit fits in rank + 1 primes; only the other
-    subsets get the LP.  Each verdict is stored under `v_membership`'s cache
-    key and read back through it, one call per subset.
+    not, since every positive circuit fits in rank + 1 primes; any other is a
+    member iff it is a positive circuit (`positive_circuit`, no LP).  Each
+    verdict is stored under `v_membership`'s cache key, unless one is there
+    already, and read back through it, one call per subset.
     """
     ids = m.ids()
     check_budget(len(ids), "enumerating V over the primes")
     got = m._cache.get("enumerate")
     if got is None:
+        cols = integer_columns(m.vectors())
         most = linear_rank(m.vectors()) + 1
         inside = [0] * (1 << len(ids))
         members, masks = [], []
@@ -142,8 +148,12 @@ def enumerate_v(m: Model) -> tuple[Support, ...]:
                 for i in combo:
                     below |= inside[mask ^ (1 << i)]
                 support = frozenset(ids[i] for i in combo)
-                if below == mask or size > most:
-                    m._cache.setdefault(("member", support), below == mask)
+                key = ("member", support)
+                if key not in m._cache:
+                    m._cache[key] = below == mask or (
+                        size <= most
+                        and positive_circuit([cols[i] for i in combo]) is not None
+                    )
                 if v_membership(m, support):
                     members.append(support)
                     masks.append(mask)

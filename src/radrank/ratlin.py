@@ -5,8 +5,8 @@ the simplex, and no floats ever, since the cone decisions downstream sit
 exactly on boundaries where rounding flips verdicts.  The pieces are a
 phase-1 simplex for equality systems with lower bounds,
 nonnegative-combination (cone) membership, strictly positive zero
-combinations, rank, and a Smith normal form that returns its unimodular
-transforms.
+combinations, an LP-free positive circuit test on integer columns, rank,
+and a Smith normal form that returns its unimodular transforms.
 """
 
 from __future__ import annotations
@@ -45,6 +45,58 @@ def _scaled(row: Sequence[Fraction]) -> tuple[list[int], int]:
 def _primitive(row: list[int]) -> list[int]:
     g = gcd(*row)
     return [a // g for a in row] if g > 1 else row
+
+
+def integer_columns(vectors: Sequence[Sequence]) -> list[tuple[int, ...]]:
+    """The vectors as integer columns with the same kernels: each coordinate
+    row is scaled by the lcm of its denominators, a positive row scaling."""
+    vecs = [vec(v) for v in vectors]
+    rows = [_scaled(row)[0] for row in zip(*vecs)]
+    return list(zip(*rows)) if rows else [()] * len(vecs)
+
+
+def positive_circuit(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The primitive, strictly positive kernel vector of the integer columns
+    when their kernel is one-dimensional and spanned by a one-signed vector
+    (the columns are then a positive circuit); None otherwise.
+
+    Integer Gauss-Jordan elimination on primitive rows, with no LP: the
+    pivot rows end as p_i * x_(c_i) + a_i * x_f = 0 for the one free column
+    f, so the kernel is one-signed iff every a_i has the sign opposite p_i.
+    """
+    rows = [_primitive(list(row)) for row in zip(*columns) if any(row)]
+    done: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    free = None
+    for col in range(len(columns)):
+        at = next((i for i, row in enumerate(rows) if row[col]), None)
+        if at is None:
+            if free is not None:
+                return None  # nullity >= 2
+            free = col
+            continue
+        prow = rows.pop(at)
+        piv = prow[col]
+        rows = [
+            _primitive([piv * a - row[col] * p for a, p in zip(row, prow)])
+            if row[col] else row
+            for row in rows
+        ]
+        done = [
+            (c, _primitive([piv * a - row[col] * p for a, p in zip(row, prow)]))
+            if row[col] else (c, row)
+            for c, row in done
+        ]
+        done.append((col, prow))
+    if free is None:
+        return None  # nullity 0
+    if any(row[free] * row[c] >= 0 for c, row in done):
+        return None
+    scale = lcm(*(abs(row[c]) for c, row in done))
+    kernel = [scale] * len(columns)
+    for c, row in done:
+        kernel[c] = -row[free] * (scale // row[c])
+    g = gcd(*kernel)
+    return tuple(x // g for x in kernel)
 
 
 def _phase_one(

@@ -390,6 +390,39 @@ def least_longest_chain(labels, is_closed):
     return min(chains, key=lambda c: (-len(c), [sorted(s) for s in c]), default=None)
 
 
+def circuit_by_rref(vectors):
+    """The positive circuit test by a Fraction RREF nullspace of the matrix
+    whose columns are the vectors: one kernel basis vector per free column,
+    with 1 at that column.  Returns the basis vector when there is exactly
+    one and every entry is positive, else None."""
+    count = len(vectors)
+    dim = len(vectors[0]) if vectors else 0
+    rows = [[Fraction(v[d]) for v in vectors] for d in range(dim)]
+    pivots = []
+    for col in range(count):
+        r = len(pivots)
+        at = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if at is None:
+            continue
+        rows[r], rows[at] = rows[at], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(count) if c not in pivots):
+        x = [Fraction(0)] * count
+        x[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            x[col] = -rows[r][free]
+        basis.append(x)
+    if len(basis) != 1 or not all(t > 0 for t in basis[0]):
+        return None
+    return tuple(basis[0])
+
+
 def v_by_lp(m):
     """{support: principal?} for every nonempty subset of m's primes, ordered
     by (size, sorted ids), with one strict_zero_combination LP per subset."""

@@ -8,7 +8,7 @@ import pytest
 
 from modelgen import zero_model
 from radrank import gen_d1, gen_d3, loads_model, save_model
-from radrank.cli import main
+from radrank.cli import build_parser, main
 
 
 @pytest.fixture
@@ -333,6 +333,36 @@ class TestReports:
         run(capsys, "gen", "d2", "--k", "5", "-o", str(first))
         save_model(loads_model(first.read_text()), str(second))
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestOneParserPerProcess:
+    def test_in_process_calls_match_fresh_processes(self, capsys, tmp_path, d1_file, d3_file):
+        vectors = tmp_path / "v.json"
+        vectors.write_text('[["1"], ["-1"], ["2"]]')
+        calls = [
+            ["rank"],  # usage error: the model is missing
+            ["rank", d1_file],
+            ["reay", str(vectors), "--json"],
+            ["gen", "d1", "--k", "x"],  # usage error: --k is not an integer
+            ["v-member", d1_file, "P0,P1"],
+            ["iso", d1_file, d3_file],
+            ["enumerate-v", "--json", d1_file],
+        ]
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "radrank.cli", *argv],
+                capture_output=True,
+                text=True,
+            )
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+        assert build_parser() is build_parser()
 
 
 class TestEntryPoint:

@@ -10,6 +10,7 @@ from oracles import (
     spans_by_negations,
 )
 import radrank.cones
+import radrank.ratlin
 from radrank import (
     GeneratorSet,
     PreconditionError,
@@ -19,7 +20,7 @@ from radrank import (
     linear_rank,
     max_weak_reay,
 )
-from radrank.cones import longest_closed_chain, positively_spans_its_span
+from radrank.cones import longest_closed_chain, positively_spans_its_span, union_closure
 
 F = Fraction
 
@@ -286,24 +287,37 @@ class TestMaxWeakReayAgainstOracles:
 
 
 class TestMaxWeakReayLPCount:
-    """Only uncovered subsets of at most rank + 1 generators reach the LP."""
+    """Only uncovered subsets of at most rank + 1 generators reach the
+    circuit test, and the only LP is the spanning precondition."""
 
     def _counted(self, monkeypatch):
-        sweep, spanning = [], []
-        real_sweep = radrank.cones.strict_zero_combination
+        circuits, spanning, sweep_lps, lps = [], [], [], []
+        real_circuit = radrank.cones.positive_circuit
         real_spanning = radrank.cones.positively_spans_its_span
+        real_szc = radrank.ratlin.strict_zero_combination
+        real_phase_one = radrank.ratlin._phase_one
 
-        def counted_sweep(gens):
-            sweep.append(len(gens))
-            return real_sweep(gens)
+        def counted_circuit(columns):
+            circuits.append(len(columns))
+            return real_circuit(columns)
 
         def counted_spanning(x):
             spanning.append(x)
             return real_spanning(x)
 
-        monkeypatch.setattr(radrank.cones, "strict_zero_combination", counted_sweep)
+        def counted_szc(gens):
+            sweep_lps.append(len(gens))
+            return real_szc(gens)
+
+        def counted_phase_one(n, equations):
+            lps.append(n)
+            return real_phase_one(n, equations)
+
+        monkeypatch.setattr(radrank.cones, "positive_circuit", counted_circuit)
         monkeypatch.setattr(radrank.cones, "positively_spans_its_span", counted_spanning)
-        return sweep, spanning
+        monkeypatch.setattr(radrank.ratlin, "strict_zero_combination", counted_szc)
+        monkeypatch.setattr(radrank.ratlin, "_phase_one", counted_phase_one)
+        return circuits, spanning, sweep_lps, lps
 
     @pytest.mark.parametrize("rank,bound", [(2, 9 + 36 + 84), (3, 9 + 36 + 84 + 126)])
     def test_nine_vectors(self, monkeypatch, rank, bound):
@@ -313,21 +327,62 @@ class TestMaxWeakReayLPCount:
             vecs = [tuple(F(rng.randint(-3, 3)) for _ in range(rank)) for _ in range(9)]
             if linear_rank(vecs) == rank and positively_spans_its_span(vecs):
                 sets.append(vecs)
-        sweep, spanning = self._counted(monkeypatch)
+        circuits, spanning, sweep_lps, lps = self._counted(monkeypatch)
         for vecs in sets:
-            del sweep[:], spanning[:]
+            del circuits[:], spanning[:], lps[:]
             max_weak_reay(vecs)
             assert len(spanning) == 1
-            assert 0 < len(sweep) <= bound
-            assert max(sweep) <= rank + 1
+            assert 0 < len(circuits) <= bound
+            # the sweep reaches subsets of rank + 1 generators and no larger
+            assert max(circuits) == rank + 1
+            assert len(lps) == 1
+        assert sweep_lps == []
 
     def test_budget_refusal_comes_before_the_sweep(self, monkeypatch):
-        sweep, spanning = self._counted(monkeypatch)
+        circuits, spanning, sweep_lps, lps = self._counted(monkeypatch)
         vecs = [(1,), (-1,)] * 6 + [(1,)]  # 13 generators
         with pytest.raises(ResourceLimitError, match="chain search.*WORK_BUDGET"):
             max_weak_reay(vecs)
         assert len(spanning) == 1
-        assert sweep == []
+        assert circuits == [] and sweep_lps == []
+
+
+class TestUnionClosure:
+    def test_marks_exactly_the_union_closed_family(self):
+        rng = fresh_rng(salt=29)
+        decided = 0
+        for _ in range(600):
+            count = rng.randrange(0, 9)
+            most = rng.randrange(1, count + 1) if count else 0
+            circuits = {
+                sum(1 << i for i in rng.sample(range(count), rng.randrange(1, most + 1)))
+                for _ in range(rng.randrange(0, 8) if count else 0)
+            }
+            family = {0}
+            for c in circuits:
+                family |= {f | c for f in family}
+            calls = []
+
+            def decide(mask):
+                calls.append(mask)
+                return mask in circuits
+
+            inside = union_closure(count, most, decide)
+            assert len(inside) == 1 << count
+            uncovered = []
+            for mask in range(1 << count):
+                assert (inside[mask] == mask) == (mask in family)
+                below = 0
+                for f in family:
+                    if f & mask == f and f != mask:
+                        below |= f
+                assert inside[mask] == (mask if mask in family else below)
+                if mask and below != mask and bin(mask).count("1") <= most:
+                    uncovered.append(mask)
+            # decide sees each uncovered subset of at most `most` items once
+            assert sorted(calls) == uncovered
+            decided += len(calls)
+        assert decided >= 10_000
 
 
 class TestLongestClosedChain:

@@ -14,6 +14,7 @@ from modelgen import (
 )
 from oracles import int_exponent_zero, v_by_lp
 import radrank.model
+import radrank.ratlin
 from radrank import (
     Model,
     ModelFormatError,
@@ -219,31 +220,45 @@ class TestEnumerateVAgainstLP:
 
 
 class TestEnumerateVLPCount:
-    """Only uncovered subsets of at most rank + 1 primes reach the LP."""
+    """Only uncovered subsets of at most rank + 1 primes reach the circuit
+    test, and the sweep runs no LP."""
 
-    def _lp_calls(self, monkeypatch, m):
-        calls = []
-        real = radrank.model.strict_zero_combination
+    def _circuit_calls(self, monkeypatch, m):
+        calls, lps = [], []
+        real_circuit = radrank.model.positive_circuit
+        real_szc = radrank.model.strict_zero_combination
+        real_phase_one = radrank.ratlin._phase_one
 
-        def counted(gens):
-            calls.append(len(gens))
-            return real(gens)
+        def counted_circuit(columns):
+            calls.append(len(columns))
+            return real_circuit(columns)
 
-        monkeypatch.setattr(radrank.model, "strict_zero_combination", counted)
+        def counted_szc(gens):
+            lps.append(len(gens))
+            return real_szc(gens)
+
+        def counted_phase_one(n, equations):
+            lps.append(n)
+            return real_phase_one(n, equations)
+
+        monkeypatch.setattr(radrank.model, "positive_circuit", counted_circuit)
+        monkeypatch.setattr(radrank.model, "strict_zero_combination", counted_szc)
+        monkeypatch.setattr(radrank.ratlin, "_phase_one", counted_phase_one)
         enumerate_v(m)
+        assert lps == []
         return calls
 
     def test_rank_one(self, monkeypatch):
-        calls = self._lp_calls(monkeypatch, gen_d1(12))
+        calls = self._circuit_calls(monkeypatch, gen_d1(12))
         assert 0 < len(calls) <= 12 + 66  # C(12, 1) + C(12, 2)
-        assert max(calls) <= 2
+        assert max(calls) == 2
 
     def test_rank_three(self, monkeypatch):
         m = random_model(fresh_rng(salt=34), 12, 12, ranks=(3,))
         assert linear_rank(m.vectors()) == 3
-        calls = self._lp_calls(monkeypatch, m)
+        calls = self._circuit_calls(monkeypatch, m)
         assert 0 < len(calls) <= 12 + 66 + 220 + 495  # sum of C(12, k), k <= 4
-        assert max(calls) <= 4
+        assert max(calls) == 4
 
 
 class TestValidate:

@@ -1,10 +1,12 @@
 """Exact-arithmetic kernels: frozen examples plus oracle cross-checks."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from oracles import (
+    circuit_by_rref,
     echelon_rank_transposed,
     fm_cone_member,
     fm_strict_zero,
@@ -19,10 +21,12 @@ from radrank import (
     determinant,
     format_rational,
     format_vector,
+    integer_columns,
     linear_rank,
     lp_feasible,
     parse_rational,
     parse_vector,
+    positive_circuit,
     smith_normal_form,
     strict_zero_combination,
 )
@@ -227,6 +231,83 @@ class TestIntegerTableauMatchesRationalOracle:
                 counts["lp"] += 1
         assert sum(counts.values()) >= 10_000 and min(counts.values()) >= 3_000
         assert len(ties) >= 500
+
+
+class TestPositiveCircuit:
+    """The LP-free circuit test against a Fraction RREF nullspace."""
+
+    def test_fixed_cases(self):
+        def circuit(vectors):
+            return positive_circuit(integer_columns(vectors))
+
+        assert circuit([(1,), (-1,)]) == (1, 1)
+        assert circuit([(1,), (-2,)]) == (2, 1)
+        assert circuit([(F(1, 3),), (F(-1, 2),)]) == (3, 2)
+        assert circuit([(1,), (2,)]) is None  # one-signed kernel fails
+        assert circuit([(1, 0), (0, 1)]) is None  # nullity 0
+        assert circuit([(1, 0), (0, 1), (-1, -1)]) == (1, 1, 1)
+        assert circuit([(1, 0), (0, 1), (-1, 0)]) is None  # zero kernel entry
+        assert circuit([(0, 0)]) == (1,)  # a zero vector vanishes alone
+        assert circuit([(0, 0), (1, 0)]) is None
+        assert circuit([(1,), (-1,), (1,)]) is None  # nullity 2
+        assert circuit([()]) == (1,)  # dimension 0
+        assert circuit([(), ()]) is None
+        assert integer_columns([(F(1, 2), 3), (F(-1, 3), F(1, 4))]) == [(3, 12), (-2, 1)]
+
+    @staticmethod
+    def _entry(rng):
+        k = rng.random()
+        if k < 0.5:
+            return F(rng.randint(-2, 2))
+        if k < 0.8:
+            return F(rng.randint(-9, 9), rng.randint(1, 9))
+        return F(rng.choice((-1, 1)), 2 ** rng.randint(0, 20))  # d2-style
+
+    def _column_set(self, rng, dim, count):
+        vecs = []
+        for _ in range(count):
+            k = rng.random()
+            if vecs and k < 0.1:
+                vecs.append(rng.choice(vecs))  # repeated column
+            elif vecs and k < 0.2:
+                vecs.append(tuple(-x for x in rng.choice(vecs)))  # v / -v
+            elif k < 0.25:
+                vecs.append(tuple(F(0) for _ in range(dim)))  # zero column
+            else:
+                vecs.append(tuple(self._entry(rng) for _ in range(dim)))
+        if count >= 2 and rng.random() < 0.4:
+            # close with a strictly positive combination of the others
+            weights = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in vecs[1:]]
+            vecs[0] = tuple(
+                -sum((w * v[d] for w, v in zip(weights, vecs[1:])), F(0))
+                for d in range(dim)
+            )
+        rng.shuffle(vecs)
+        return vecs
+
+    def test_matches_rref_nullspace(self):
+        rng = fresh_rng(salt=16)
+        found = 0
+        for _ in range(20_000):
+            dim = rng.randrange(0, 5)
+            vecs = self._column_set(rng, dim, rng.randrange(1, 6))
+            # the sweeps scale the whole input once and pass a subset
+            others = [tuple(self._entry(rng) for _ in range(dim)) for _ in range(2)]
+            cols = integer_columns(vecs + others)[: len(vecs)]
+            got = positive_circuit(cols)
+            want = circuit_by_rref(vecs)
+            assert (got is None) == (want is None), vecs
+            if got is None:
+                continue
+            found += 1
+            assert all(type(x) is int and x > 0 for x in got)
+            assert gcd(*got) == 1
+            assert all(g * want[0] == w * got[0] for g, w in zip(got, want))
+            assert all(
+                sum((g * v[d] for g, v in zip(got, vecs)), F(0)) == 0
+                for d in range(dim)
+            )
+        assert found >= 3_000
 
 
 class TestLinearRank:
