@@ -40,6 +40,18 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _read_json(path: str, what: str) -> tuple[str, object]:
+    """The text of a JSON input file and its parsed document; a parse error
+    names `what` and the line and column."""
+    text = _read(path)
+    try:
+        return text, json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{what} file: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+
+
 def _load(path: str) -> tuple[Model, str]:
     text = _read(path)
     try:
@@ -174,13 +186,7 @@ def _cmd_iso(ns) -> tuple[int, dict, list[str], list[str]]:
 def _cmd_extend_iso(ns) -> tuple[int, dict, list[str], list[str]]:
     ma, text_a = _load(ns.model_a)
     mb, text_b = _load(ns.model_b)
-    phi_text = _read(ns.phi)
-    try:
-        doc = json.loads(phi_text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"phi file: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    phi_text, doc = _read_json(ns.phi, "phi")
     if not isinstance(doc, list):
         raise ValueError("phi file must be a JSON array of support pairs")
     pairs = []
@@ -223,13 +229,7 @@ def _cmd_gen(ns) -> tuple[int, dict, list[str], list[str]]:
 
 
 def _cmd_reay(ns) -> tuple[int, dict, list[str], list[str]]:
-    text = _read(ns.vectors)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"vectors file: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    text, doc = _read_json(ns.vectors, "vectors")
     if isinstance(doc, dict):
         vectors = doc.get("vectors")
         labels = doc.get("labels")

@@ -5,11 +5,12 @@ nonnegative hull of S, iff some strictly positive combination of S vanishes
 (Gordan's alternative); the per-generator form is kept only as a test oracle.
 The sets that positively span their span form a union-closed family, and each
 member is a union of positive circuits of at most rank + 1 vectors.  An
-uncovered member is itself a circuit, so `union_closure` settles all 2^n
+uncovered member is itself a circuit, so `principal_subsets` settles all 2^n
 subsets with the exact circuit test `positive_circuit` on the uncovered ones
-of at most rank + 1 vectors, and no LP.  Partitions are represented by their
-chains of prefix unions; the maximum-cardinality search is a dynamic program
-over the subset lattice, which caps the practical size at a dozen generators.
+of at most rank + 1 vectors, and no LP; `enumerate_v` and the weak Reay
+chain both run it.  Partitions are represented by their chains of prefix
+unions; the maximum-cardinality search is a dynamic program over the subset
+lattice, which caps the practical size at a dozen generators.
 """
 
 from __future__ import annotations
@@ -133,20 +134,23 @@ def extract_positive_basis(x: Generators, n: int) -> GeneratorSet:
     return gens.subset(kept)
 
 
-def union_closure(count: int, most: int, decide: Callable[[int], bool]) -> list[int]:
-    """Settle every subset of `count` items for a union-closed family whose
-    members are all unions of members of at most `most` items.
+def principal_subsets(
+    vecs: Sequence[Vector],
+) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+    """Every nonempty subset of vecs as (indices, mask, principal), in
+    (size, sorted index) order; bit i of mask stands for vecs[i], and
+    principal says whether some strictly positive combination of the
+    subset's vectors vanishes.
 
-    Subsets are int masks (bit i is item i), visited in (size, sorted index)
-    order.  Returns `inside`, where `inside[mask]` is the union of the
-    members contained in `mask`, so mask is a member iff `inside[mask] ==
-    mask`; the empty set always is.  A subset covered by the members below
-    it is a member; an uncovered one of more than `most` items is not;
-    `decide(mask)` is called on each remaining subset only.  A member left
-    uncovered is no union of smaller members, so it has at most `most`
-    items, and a `decide` that accepts exactly such members (for principal
-    sets: the positive circuits) is complete.
+    The principal subsets are union-closed, so a subset covered by the ones
+    below it (`inside[mask]`, their union) is principal; an uncovered one of
+    more than rank + 1 vectors is not, since every positive circuit fits in
+    rank + 1; any other is principal iff it is a positive circuit, which
+    `positive_circuit` decides on the subset's integer columns, with no LP.
     """
+    count = len(vecs)
+    cols = integer_columns(vecs)
+    most = linear_rank(vecs) + 1
     inside = [0] * (1 << count)
     for size in range(1, count + 1):
         for combo in combinations(range(count), size):
@@ -154,10 +158,11 @@ def union_closure(count: int, most: int, decide: Callable[[int], bool]) -> list[
             below = 0
             for i in combo:
                 below |= inside[mask ^ (1 << i)]
-            if below == mask or (size <= most and decide(mask)):
-                below = mask
-            inside[mask] = below
-    return inside
+            principal = below == mask or (
+                size <= most and positive_circuit([cols[i] for i in combo]) is not None
+            )
+            inside[mask] = mask if principal else below
+            yield combo, mask, principal
 
 
 def longest_closed_chain(
@@ -215,11 +220,9 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
     positively span their own span.  The input must positively span its span,
     otherwise no such partition exists at all.
 
-    The closed sets are the empty set and the subsets with a strictly
-    positive zero combination.  `union_closure` settles them with one
-    `positive_circuit` test per uncovered subset of at most rank + 1
-    generators, at most sum_{k <= rank + 1} C(n, k) tests; the only LP is
-    the spanning precondition.
+    The closed sets are the empty set and the principal subsets, settled by
+    `principal_subsets` with at most sum_{k <= rank + 1} C(n, k) circuit
+    tests; the only LP is the spanning precondition.
     """
     gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(x)
     if len(gens) == 0:
@@ -228,15 +231,8 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
         raise PreconditionError("generators do not positively span their span")
     vecs = gens.vectors
     check_budget(len(vecs), "the chain search over the labels")
-    cols = integer_columns(vecs)
-
-    def circuit(mask: int) -> bool:
-        return positive_circuit(
-            [c for i, c in enumerate(cols) if mask >> i & 1]
-        ) is not None
-
-    inside = union_closure(len(vecs), linear_rank(vecs) + 1, circuit)
-    chain = longest_closed_chain(gens.labels, lambda mask: inside[mask] == mask)
+    closed = {0} | {mask for _, mask, ok in principal_subsets(vecs) if ok}
+    chain = longest_closed_chain(gens.labels, closed.__contains__)
     blocks = tuple(
         frozenset(cur - prev) for prev, cur in zip(chain, chain[1:])
     )

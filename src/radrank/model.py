@@ -9,11 +9,9 @@ decided exactly, and every answer is cached on the model, which is immutable.
 V is closed under unions, and each member is a union of positive circuits:
 the supports of the extreme rays of {lambda >= 0 : A lambda = 0}, each of at
 most rank + 1 primes (rank = linear rank of the class vectors).  So
-`enumerate_v` settles a subset covered by the members below it as a member,
-an uncovered one of more than rank + 1 primes as a non-member, and the rest
-by `positive_circuit`, since an uncovered member is itself a circuit: at
-most sum_{k <= rank + 1} C(n, k) exact kernel tests over n primes and no LP.
-`v_membership` on a single support is the LP.
+`enumerate_v` is one pass of `cones.principal_subsets`, the sweep the weak
+Reay chain also runs: at most sum_{k <= rank + 1} C(n, k) exact kernel tests
+over n primes and no LP.  `v_membership` on a single support is the LP.
 """
 
 from __future__ import annotations
@@ -27,16 +25,13 @@ from .errors import ModelFormatError, check_budget
 from .ratlin import (
     Vector,
     format_vector,
-    integer_columns,
     linear_rank,
     mat_vec,
     parse_rational,
-    positive_circuit,
     strict_zero_combination,
     vec,
 )
-from .cones import positively_spans_its_span
-from itertools import combinations
+from .cones import positively_spans_its_span, principal_subsets
 
 PrimeId = str
 Support = frozenset[str]
@@ -125,40 +120,22 @@ def v_membership(m: Model, support: Iterable[PrimeId]) -> bool:
 def enumerate_v(m: Model) -> tuple[Support, ...]:
     """All principal supports, ordered by (size, sorted ids).
 
-    Subsets are visited in that order, with `inside[mask]` the union of the
-    members contained in `mask`.  A subset covered by the members below it is
-    a member (union closure); an uncovered one of more than rank + 1 primes is
-    not, since every positive circuit fits in rank + 1 primes; any other is a
-    member iff it is a positive circuit (`positive_circuit`, no LP).  Each
-    verdict is stored under `v_membership`'s cache key, unless one is there
-    already, and read back through it, one call per subset.
+    One pass of `principal_subsets` over the class vectors, which settles
+    each subset by union closure and an exact circuit test, with no LP.
+    Each verdict is stored under `v_membership`'s cache key, unless one is
+    there already, and read back through it, one call per subset.
     """
     ids = m.ids()
     check_budget(len(ids), "enumerating V over the primes")
     got = m._cache.get("enumerate")
     if got is None:
-        cols = integer_columns(m.vectors())
-        most = linear_rank(m.vectors()) + 1
-        inside = [0] * (1 << len(ids))
         members, masks = [], []
-        for size in range(1, len(ids) + 1):
-            for combo in combinations(range(len(ids)), size):
-                mask = sum(1 << i for i in combo)
-                below = 0
-                for i in combo:
-                    below |= inside[mask ^ (1 << i)]
-                support = frozenset(ids[i] for i in combo)
-                key = ("member", support)
-                if key not in m._cache:
-                    m._cache[key] = below == mask or (
-                        size <= most
-                        and positive_circuit([cols[i] for i in combo]) is not None
-                    )
-                if v_membership(m, support):
-                    members.append(support)
-                    masks.append(mask)
-                    below = mask
-                inside[mask] = below
+        for combo, mask, principal in principal_subsets(m.vectors()):
+            support = frozenset(ids[i] for i in combo)
+            m._cache.setdefault(("member", support), principal)
+            if v_membership(m, support):
+                members.append(support)
+                masks.append(mask)
         got = tuple(members)
         m._cache["enumerate"] = got
         m._cache["masks"] = tuple(masks)

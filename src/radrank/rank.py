@@ -5,7 +5,9 @@ in the nonnegative hull of D's classes; equivalently (and cone-free) the
 primes Q such that {Q} together with part of D is principal.  A minimal D
 whose almost-inverses cover every prime is an inverse basis; the longest
 chain of self-inverse subsets inside it has |D| - rank steps, so the rank of
-the class data falls out of pure poset bookkeeping.
+the class data falls out of pure poset bookkeeping.  V is union-closed, so
+the self-inverse subsets of D are the empty set and the members of V inside
+D, read off V with no further closure.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .cones import (
     max_weak_reay,
     positively_spans_its_span,
     positively_spans_rank,
-    union_closure,
 )
 from .errors import PreconditionError, check_budget
 from .model import Model, PrimeId, Support, enumerate_v, support_mask, v_masks, v_membership
@@ -151,14 +152,13 @@ def recover_rank(m: Model) -> int:
             delta &= ~(1 << i)
 
     # A subset is self-inverse when each of its primes lies in a member inside
-    # it, i.e. when it is the union of the members it contains.  The chain
-    # search's masks index delta_ids, so members inside delta are encoded so;
-    # with no size bound, only the subsets no smaller member covers are
-    # looked up among them.
+    # it, i.e. when it is the union of the members it contains.  V is
+    # union-closed, so that union is empty or a member: the self-inverse
+    # subsets of delta are the empty set and the members inside delta, as
+    # masks over delta_ids for the chain search.
     delta_ids = [pid for i, pid in enumerate(ids) if delta >> i & 1]
-    members = {
+    closed = {0} | {
         support_mask(delta_ids, s) for s in enumerate_v(m) if s.issubset(delta_ids)
     }
-    inside = union_closure(len(delta_ids), len(delta_ids), members.__contains__)
-    chain_sets = longest_closed_chain(delta_ids, lambda mask: inside[mask] == mask)
+    chain_sets = longest_closed_chain(delta_ids, closed.__contains__)
     return len(delta_ids) - (len(chain_sets) - 1)

@@ -214,6 +214,16 @@ class TestIso:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_extend_phi_syntax_error_is_located(self, capsys, tmp_path, d1_file):
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text('[[["P0"], ["P0"]],\n [}')
+        code, out, err = run(
+            capsys, "extend-iso", d1_file, d1_file, str(phi_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: phi file: line 2 column 3: Expecting value\n"
+
     def test_extend_non_string_id(self, capsys, tmp_path, d1_file):
         phi_path = tmp_path / "phi.json"
         phi_path.write_text('[[[["a"]], ["a"]]]')
@@ -268,6 +278,15 @@ class TestReay:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {where}")
+
+
+    def test_vectors_syntax_error_is_located(self, capsys, tmp_path):
+        path = tmp_path / "vecs.json"
+        path.write_text('[["1"],\n ["-1"]')
+        code, out, err = run(capsys, "reay", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: vectors file: line 2 column 8: Expecting ',' delimiter\n"
 
 
 class TestErrorsAndDiagnostics:

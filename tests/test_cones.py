@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from modelgen import fresh_rng, random_invertible_matrix
 from oracles import (
+    echelon_rank_transposed,
     least_longest_chain,
     max_reay_by_enumeration,
     reay_by_lp,
@@ -20,7 +22,10 @@ from radrank import (
     linear_rank,
     max_weak_reay,
 )
-from radrank.cones import longest_closed_chain, positively_spans_its_span, union_closure
+from radrank.cones import (
+    longest_closed_chain, positively_spans_its_span, principal_subsets
+)
+from radrank.ratlin import strict_zero_combination
 
 F = Fraction
 
@@ -347,42 +352,67 @@ class TestMaxWeakReayLPCount:
         assert circuits == [] and sweep_lps == []
 
 
-class TestUnionClosure:
-    def test_marks_exactly_the_union_closed_family(self):
-        rng = fresh_rng(salt=29)
-        decided = 0
-        for _ in range(600):
-            count = rng.randrange(0, 9)
-            most = rng.randrange(1, count + 1) if count else 0
-            circuits = {
-                sum(1 << i for i in rng.sample(range(count), rng.randrange(1, most + 1)))
-                for _ in range(rng.randrange(0, 8) if count else 0)
-            }
-            family = {0}
-            for c in circuits:
-                family |= {f | c for f in family}
-            calls = []
+class TestPrincipalSubsets:
+    """The shared sweep against one LP per subset, with every circuit test
+    accounted for."""
 
-            def decide(mask):
-                calls.append(mask)
-                return mask in circuits
+    SETS = [v for v in _reay_population(fresh_rng(salt=29), 400) if len(v) <= 8]
 
-            inside = union_closure(count, most, decide)
-            assert len(inside) == 1 << count
+    def test_population_holds_zero_repeated_and_opposite_vectors(self):
+        assert {len(v) for v in self.SETS} == set(range(9))
+        assert {len(v[0]) for v in self.SETS if v} == set(range(5))
+        assert sum(any(not any(x) for x in v) for v in self.SETS) >= 50
+        assert sum(len(set(v)) < len(v) for v in self.SETS) >= 50
+        assert sum(
+            any(tuple(-x for x in u) in v for u in v if any(u)) for v in self.SETS
+        ) >= 50
+
+    def test_matches_one_lp_per_subset_and_tests_only_uncovered_circuits(
+        self, monkeypatch
+    ):
+        calls = []
+        real_circuit = radrank.cones.positive_circuit
+
+        def counted_circuit(columns):
+            calls.append(len(columns))
+            return real_circuit(columns)
+
+        monkeypatch.setattr(radrank.cones, "positive_circuit", counted_circuit)
+        tested_total = 0
+        for vecs in self.SETS:
+            count = len(vecs)
+            got, tested = [], []
+            for indices, mask, principal in principal_subsets(vecs):
+                # the circuit test, if any, runs just before its subset is yielded
+                assert len(calls) <= 1
+                if calls:
+                    assert calls.pop() == len(indices)
+                    tested.append(mask)
+                got.append((indices, mask, principal))
+            assert [indices for indices, _, _ in got] == [
+                combo
+                for size in range(1, count + 1)
+                for combo in combinations(range(count), size)
+            ]
+            family = set()
+            for indices, mask, principal in got:
+                assert mask == sum(1 << i for i in indices)
+                want = strict_zero_combination([vecs[i] for i in indices])[0]
+                assert principal == want
+                if want:
+                    family.add(mask)
+            most = echelon_rank_transposed(vecs) + 1
             uncovered = []
-            for mask in range(1 << count):
-                assert (inside[mask] == mask) == (mask in family)
+            for _, mask, _ in got:
                 below = 0
                 for f in family:
                     if f & mask == f and f != mask:
                         below |= f
-                assert inside[mask] == (mask if mask in family else below)
-                if mask and below != mask and bin(mask).count("1") <= most:
+                if below != mask and bin(mask).count("1") <= most:
                     uncovered.append(mask)
-            # decide sees each uncovered subset of at most `most` items once
-            assert sorted(calls) == uncovered
-            decided += len(calls)
-        assert decided >= 10_000
+            assert tested == uncovered
+            tested_total += len(tested)
+        assert tested_total >= 5_000
 
 
 class TestLongestClosedChain:

@@ -13,6 +13,7 @@ from modelgen import (
     zero_model,
 )
 from oracles import int_exponent_zero, v_by_lp
+import radrank.cones
 import radrank.model
 import radrank.ratlin
 from radrank import (
@@ -225,7 +226,7 @@ class TestEnumerateVLPCount:
 
     def _circuit_calls(self, monkeypatch, m):
         calls, lps = [], []
-        real_circuit = radrank.model.positive_circuit
+        real_circuit = radrank.cones.positive_circuit
         real_szc = radrank.model.strict_zero_combination
         real_phase_one = radrank.ratlin._phase_one
 
@@ -241,7 +242,7 @@ class TestEnumerateVLPCount:
             lps.append(n)
             return real_phase_one(n, equations)
 
-        monkeypatch.setattr(radrank.model, "positive_circuit", counted_circuit)
+        monkeypatch.setattr(radrank.cones, "positive_circuit", counted_circuit)
         monkeypatch.setattr(radrank.model, "strict_zero_combination", counted_szc)
         monkeypatch.setattr(radrank.ratlin, "_phase_one", counted_phase_one)
         enumerate_v(m)
