@@ -9,8 +9,9 @@ uncovered member is itself a circuit, so `principal_subsets` settles all 2^n
 subsets with the exact circuit test `positive_circuit` on the uncovered ones
 of at most rank + 1 vectors, and no LP; `enumerate_v` and the weak Reay
 chain both run it.  Partitions are represented by their chains of prefix
-unions; the maximum-cardinality search is a dynamic program over the subset
-lattice, which caps the practical size at a dozen generators.
+unions.  The closed sets are graded, so the maximum-cardinality search walks
+up least covers; its 2^n predicate calls cap the practical size at a dozen
+generators.
 """
 
 from __future__ import annotations
@@ -172,10 +173,13 @@ def longest_closed_chain(
 
     `is_closed` is called once per subset, given as an int mask whose bit i
     stands for sorted(labels)[i]; it must accept the empty set and the full
-    set.  Among maximum chains the lexicographically least one (comparing
-    sorted label tuples, front first) is returned, so results do not depend
-    on evaluation order.  Runs the O(3^len) subset-lattice program; refuses
-    more than WORK_BUDGET labels.
+    set.  The closed sets must be graded, so that every maximal chain is a
+    longest one.  Both callers pass {} and the principal subsets of a set
+    that positively spans its span, which are graded (Reay 1965):
+    `max_weak_reay` checks spanning first, and `recover_rank`'s inverse
+    basis spans by definition.  Each step takes the least cover (comparing
+    sorted label tuples), so the chain is the lexicographically least
+    longest one.  Refuses more than WORK_BUDGET labels.
     """
     labels = sorted(labels)
     count = len(labels)
@@ -185,31 +189,21 @@ def longest_closed_chain(
     def members(mask: int) -> tuple[str, ...]:
         return tuple(labels[i] for i in range(count) if mask >> i & 1)
 
-    closed = [is_closed(mask) for mask in range(full + 1)]
-    if not closed[0] or not closed[full]:
+    ascending = [mask for mask in range(full + 1) if is_closed(mask)]
+    if ascending[:1] != [0] or ascending[-1] != full:
         raise PreconditionError("endpoints of the chain are not closed")
 
-    def above(mask: int) -> Iterator[int]:
-        """The closed proper supersets of mask; full is always one."""
-        comp = full ^ mask
-        sub = comp
-        while sub:
-            if closed[mask | sub]:
-                yield mask | sub
-            sub = (sub - 1) & comp
-
-    # steps[mask] = longest chain length from a closed mask up to full;
-    # proper supersets are larger numbers, so a descending sweep sees them first
-    steps = [0] * (full + 1)
-    for mask in range(full - 1, -1, -1):
-        if closed[mask]:
-            steps[mask] = 1 + max(steps[sup] for sup in above(mask))
-
+    # sup covers cur iff no closed set lies strictly between them; such a set
+    # is a proper subset of sup, so a smaller number, and the ascending scan
+    # has met it, or a cover inside it, already
     chain = [0]
     while chain[-1] != full:
         cur = chain[-1]
-        nexts = (sup for sup in above(cur) if steps[sup] == steps[cur] - 1)
-        chain.append(min(nexts, key=members))
+        covers: list[int] = []
+        for sup in ascending:
+            if sup & cur == cur != sup and all(low & ~sup for low in covers):
+                covers.append(sup)
+        chain.append(min(covers, key=members))
     return tuple(frozenset(members(mask)) for mask in chain)
 
 

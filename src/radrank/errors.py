@@ -11,8 +11,8 @@ class ResourceLimitError(RuntimeError):
 
 # Most primes or generators an exhaustive subset search (2^n subsets given a
 # verdict by union closure, of which at most sum_{k <= rank + 1} C(n, k) need
-# the exact circuit test; 3^n chain steps) may run over; beyond it the search
-# is refused, not left to run.
+# the exact circuit test; 2^n chain predicate calls) may run over; beyond it
+# the search is refused, not left to run.
 WORK_BUDGET = 12
 
 

@@ -225,12 +225,13 @@ def extend_iso(
         if key in mapping:
             raise ValueError(f"phi maps {sorted(key)} twice")
         mapping[key] = mb.check_ids(dst)
-    va = set(enumerate_v(ma))
+    va = enumerate_v(ma)
     vb = set(enumerate_v(mb))
-    if set(mapping) != va:
+    if set(mapping) != set(va):
         raise ValueError("phi must be defined on exactly the principal supports")
     if set(mapping.values()) != vb or len(set(mapping.values())) != len(mapping):
         raise ValueError("phi must map onto the codomain principal supports")
+    # enumerate_v's order names the least failing pair under any hash seed
     for x in va:
         for y in va:
             if mapping[x | y] != mapping[x] | mapping[y]:

@@ -5,14 +5,16 @@ loops, searches are exhaustive, and nothing shares code with the package
 under test beyond the data types it consumes.  The two exceptions are
 `v_by_lp` and `reay_by_lp`, which run the package's LP on every subset: they
 check the union closures built around that LP, and the LP itself is checked
-against `frac_phase_one`.  Keep inputs tiny.
+against `frac_phase_one`.  `reay_by_lp` reads its chain off
+`longest_chain_by_dp`, the general longest-chain program, which shares
+nothing with the package's graded cover walk.  Keep inputs tiny.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from radrank.cones import GeneratorSet, longest_closed_chain, positively_spans_its_span
-from radrank.errors import PreconditionError
+from radrank.cones import GeneratorSet, positively_spans_its_span
+from radrank.errors import PreconditionError, check_budget
 from radrank.ratlin import strict_zero_combination
 
 # An inequality is (coeffs, rhs) meaning sum(c_i * x_i) <= rhs.
@@ -390,6 +392,20 @@ def least_longest_chain(labels, is_closed):
     return min(chains, key=lambda c: (-len(c), [sorted(s) for s in c]), default=None)
 
 
+def random_maximal_chain(family, rng):
+    """A maximal chain of the set family from the empty set, a member, to
+    the union of all members, also a member, stepping to a cover drawn by
+    rng at each step.  The covers of a member are the members above it with
+    no member strictly between, found by comparing every pair."""
+    top = frozenset().union(*family)
+    chain = [frozenset()]
+    while chain[-1] != top:
+        above = [t for t in family if chain[-1] < t]
+        covers = [t for t in above if not any(u < t for u in above)]
+        chain.append(rng.choice(sorted(covers, key=sorted)))
+    return chain
+
+
 def circuit_by_rref(vectors):
     """The positive circuit test by a Fraction RREF nullspace of the matrix
     whose columns are the vectors: one kernel basis vector per free column,
@@ -434,9 +450,52 @@ def v_by_lp(m):
     }
 
 
+def longest_chain_by_dp(labels, is_closed):
+    """`longest_closed_chain`'s answer on any family of closed sets, graded
+    or not: the longest strictly increasing chain of closed sets from {} to
+    all labels, the lexicographically least (comparing sorted label tuples,
+    front first) among maximum chains.  `is_closed` takes int masks whose
+    bit i stands for sorted(labels)[i].  An O(3^len) dynamic program over
+    the subset lattice; refuses more than WORK_BUDGET labels."""
+    labels = sorted(labels)
+    count = len(labels)
+    check_budget(count, "the chain search over the labels")
+    full = (1 << count) - 1
+
+    def members(mask):
+        return tuple(labels[i] for i in range(count) if mask >> i & 1)
+
+    closed = [is_closed(mask) for mask in range(full + 1)]
+    if not closed[0] or not closed[full]:
+        raise PreconditionError("endpoints of the chain are not closed")
+
+    def above(mask):
+        """The closed proper supersets of mask; full is always one."""
+        comp = full ^ mask
+        sub = comp
+        while sub:
+            if closed[mask | sub]:
+                yield mask | sub
+            sub = (sub - 1) & comp
+
+    # steps[mask] = longest chain length from a closed mask up to full;
+    # proper supersets are larger numbers, so a descending sweep sees them first
+    steps = [0] * (full + 1)
+    for mask in range(full - 1, -1, -1):
+        if closed[mask]:
+            steps[mask] = 1 + max(steps[sup] for sup in above(mask))
+
+    chain = [0]
+    while chain[-1] != full:
+        cur = chain[-1]
+        nexts = (sup for sup in above(cur) if steps[sup] == steps[cur] - 1)
+        chain.append(min(nexts, key=members))
+    return tuple(frozenset(members(mask)) for mask in chain)
+
+
 def reay_by_lp(gens):
     """`max_weak_reay`'s (s, blocks) with one positively_spans_its_span LP
-    per subset as the closed-set predicate of `longest_closed_chain`."""
+    per subset as the closed-set predicate of `longest_chain_by_dp`."""
     if not isinstance(gens, GeneratorSet):
         gens = GeneratorSet.from_vectors(gens)
     if len(gens) == 0:
@@ -444,7 +503,7 @@ def reay_by_lp(gens):
     if not positively_spans_its_span(gens.vectors):
         raise PreconditionError("generators do not positively span their span")
     vecs = gens.vectors
-    chain = longest_closed_chain(
+    chain = longest_chain_by_dp(
         gens.labels,
         lambda mask: positively_spans_its_span(
             [v for i, v in enumerate(vecs) if mask >> i & 1]

@@ -1,6 +1,7 @@
 """Command line front end: text output, JSON reports, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -204,6 +205,38 @@ class TestIso:
         lines = out.splitlines()
         assert "P0 -> Q0" in lines
         assert lines[-1] == "verified: true"
+
+    def test_extend_names_the_least_failing_pair_under_any_hash_seed(self, tmp_path):
+        from radrank import enumerate_v, gen_d2
+
+        ma, mb = gen_d1(6), gen_d2(6)
+        phi = {s: frozenset("Q" + p[1:] for p in s) for s in enumerate_v(ma)}
+        a, b = frozenset({"P0", "P1"}), frozenset({"P0", "P3"})
+        phi[a], phi[b] = phi[b], phi[a]
+        paths = [tmp_path / name for name in ("a.json", "b.json", "phi.json")]
+        save_model(ma, str(paths[0]))
+        save_model(mb, str(paths[1]))
+        paths[2].write_text(json.dumps([[sorted(k), sorted(v)] for k, v in phi.items()]))
+
+        def key(s):
+            return len(s), sorted(s)
+
+        x, y = min(
+            ((x, y) for x in phi for y in phi if phi[x | y] != phi[x] | phi[y]),
+            key=lambda pair: (key(pair[0]), key(pair[1])),
+        )
+        want = (
+            f"error: phi does not preserve products: breaks at "
+            f"{sorted(x)} and {sorted(y)}\n"
+        )
+        for seed in range(1, 5):
+            proc = subprocess.run(
+                [sys.executable, "-m", "radrank.cli", "extend-iso", *map(str, paths)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            )
+            assert (proc.returncode, proc.stderr) == (2, want), seed
 
     def test_extend_malformed_phi(self, capsys, tmp_path, d1_file):
         phi_path = tmp_path / "phi.json"

@@ -7,7 +7,9 @@ from modelgen import fresh_rng, random_invertible_matrix
 from oracles import (
     echelon_rank_transposed,
     least_longest_chain,
+    longest_chain_by_dp,
     max_reay_by_enumeration,
+    random_maximal_chain,
     reay_by_lp,
     spans_by_negations,
 )
@@ -236,6 +238,18 @@ def _reay_population(rng, count):
     return sets
 
 
+def _closed_by_lp(vecs):
+    """{} and the sets of indices of vecs that pass one
+    strict_zero_combination LP each."""
+    count = len(vecs)
+    return {frozenset()} | {
+        frozenset(combo)
+        for size in range(1, count + 1)
+        for combo in combinations(range(count), size)
+        if strict_zero_combination([vecs[i] for i in combo])[0]
+    }
+
+
 def _reay_or_refusal(route, vecs):
     try:
         return route(vecs)
@@ -289,6 +303,26 @@ class TestMaxWeakReayAgainstOracles:
                 tuple(cur - prev for prev, cur in zip(chain, chain[1:])),
             )
             assert _reay_or_refusal(max_weak_reay, vecs) == want
+
+
+class TestFactA:
+    """The cover walk in `longest_closed_chain` needs the closed sets graded:
+    {} and the principal subsets of a set that positively spans its span
+    have maximal chains of n - rank steps only."""
+
+    def test_random_maximal_chains_have_n_minus_rank_steps(self):
+        rng = fresh_rng(salt=32)
+        checked = 0
+        for vecs in TestMaxWeakReayAgainstOracles.SETS:
+            count = len(vecs)
+            family = _closed_by_lp(vecs)
+            if frozenset(range(count)) not in family:
+                continue
+            for _ in range(3):
+                chain = random_maximal_chain(family, rng)
+                assert len(chain) - 1 == count - echelon_rank_transposed(vecs)
+            checked += 1
+        assert checked >= 250
 
 
 class TestMaxWeakReayLPCount:
@@ -443,6 +477,8 @@ class TestLongestClosedChain:
         assert longest_closed_chain([], lambda mask: True) == (frozenset(),)
 
     def test_matches_partition_oracle(self):
+        # random families, mostly not graded: the general longest-chain
+        # program that reay_by_lp reads its chain off
         rng = fresh_rng(salt=23)
         for _ in range(300):
             labels = rng.sample("abcdefgh", rng.randrange(7))
@@ -458,7 +494,32 @@ class TestLongestClosedChain:
 
             sets = {as_set(mask) for mask in closed}
             want = least_longest_chain(labels, sets.__contains__)
-            assert longest_closed_chain(labels, closed.__contains__) == want
+            assert longest_chain_by_dp(labels, closed.__contains__) == want
+
+    def test_graded_families_match_partition_oracle(self):
+        # {} and the principal subsets, one LP each, of seeded vector sets:
+        # graded when the whole set is principal, refused when it is not
+        sets = [v for v in _reay_population(fresh_rng(salt=31), 250) if len(v) <= 7]
+        assert {len(v) for v in sets} == set(range(8))
+        assert sum(any(not any(x) for x in v) for v in sets) >= 50
+        assert sum(len(set(v)) < len(v) for v in sets) >= 50
+        assert sum(
+            any(tuple(-x for x in u) in v for u in v if any(u)) for v in sets
+        ) >= 50
+        chains = 0
+        for vecs in sets:
+            labels = [f"g{i}" for i in range(len(vecs))]
+            family = _closed_by_lp(vecs)
+            closed = {sum(1 << i for i in s) for s in family}
+            named = {frozenset(labels[i] for i in s) for s in family}
+            want = least_longest_chain(labels, named.__contains__)
+            try:
+                got = longest_closed_chain(labels, closed.__contains__)
+            except PreconditionError:
+                got = None
+            assert got == want
+            chains += got is not None
+        assert chains >= 150
 
 
 class TestGeneratorSet:

@@ -11,12 +11,13 @@ from modelgen import (
     random_spanning_model,
     zero_model,
 )
-from oracles import spans_by_negations
+from oracles import echelon_rank_transposed, random_maximal_chain, spans_by_negations
 from radrank import (
     Model,
     PreconditionError,
     ReayChain,
     ResourceLimitError,
+    enumerate_v,
     find_inverse_basis,
     gen_d1,
     gen_d2,
@@ -282,3 +283,52 @@ class TestRecoverRank:
             for delta in bases:
                 s = max_reay_chain(m, delta).cardinality
                 assert len(delta) - s == expected
+
+
+def simplex_product_model(rng, parts):
+    """A positive basis of Q^sum(parts), one simplex (d basis vectors and
+    their negated sum) per part of size d, in random coordinates: its own
+    inverse basis, with self-inverse chains of len(parts) steps."""
+    rank = sum(parts)
+    vecs, start = [], 0
+    for d in parts:
+        block = [tuple(int(i == start + j) for i in range(rank)) for j in range(d)]
+        vecs += block + [tuple(-sum(col) for col in zip(*block))]
+        start += d
+    m = Model(rank, [(f"P{i}", v) for i, v in enumerate(vecs)])
+    return transform(
+        m, random_invertible_matrix(rng, rank), random_positive_scales(rng, m.ids())
+    )
+
+
+class TestFactA:
+    """recover_rank's chain search needs the self-inverse subsets of an
+    inverse basis graded: every maximal chain of them has |delta| - rank
+    steps."""
+
+    @staticmethod
+    def _check_random_chains(m, rng):
+        delta = find_inverse_basis(m)
+        family = {frozenset()} | {s for s in enumerate_v(m) if s <= delta}
+        rank = echelon_rank_transposed([m.vector(p) for p in sorted(delta)])
+        for _ in range(3):
+            chain = random_maximal_chain(family, rng)
+            assert chain[-1] == delta
+            assert len(chain) - 1 == len(delta) - rank
+        return len(delta) - rank
+
+    def test_spanning_population(self, spanning_population):
+        # every inverse basis here is a single positive circuit
+        rng = fresh_rng(salt=58)
+        for m in spanning_population:
+            assert self._check_random_chains(m, rng) <= 1
+
+    def test_products_of_simplices(self):
+        rng = fresh_rng(salt=59)
+        models = [cross_model()] + [
+            simplex_product_model(rng, parts)
+            for parts in [(1, 1, 1), (2, 1), (2, 1, 1), (2, 2), (3, 1), (1, 1, 1, 1)]
+        ]
+        for m in models:
+            steps = self._check_random_chains(m, rng)
+            assert steps == len(m.ids()) - m.ambient_rank >= 2
