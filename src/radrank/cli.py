@@ -35,25 +35,31 @@ def _digest(parts: Sequence[str]) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _read(path: str, where: str) -> str:
+    """The text of a UTF-8 file; an undecodable byte is located at `where`."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{where}: not UTF-8 at byte {exc.start}") from None
 
 
 def _read_json(path: str, what: str) -> tuple[str, object]:
-    """The text of a JSON input file and its parsed document; a parse error
-    names `what` and the line and column."""
-    text = _read(path)
+    """The text of a JSON input file and its parsed document; an error
+    names `what` and, for a parse error, the line and column."""
+    text = _read(path, f"{what} file")
     try:
         return text, json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{what} file: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ValueError(f"{what} file: JSON nested too deeply") from None
 
 
 def _load(path: str) -> tuple[Model, str]:
-    text = _read(path)
+    text = _read(path, path)
     try:
         return loads_model(text), text
     except ModelFormatError as exc:

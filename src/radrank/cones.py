@@ -100,17 +100,25 @@ def _check_dimension(vecs: Sequence[Vector], n: int) -> None:
         raise DimensionError("vector dimension differs from ambient dimension")
 
 
+def prune(gens: GeneratorSet, rank: int) -> GeneratorSet:
+    """Drop each generator, in ascending label order, whose removal leaves a
+    set of linear rank `rank` that positively spans its span.  On such a set,
+    the result is a positive basis of its span, and the set itself iff no
+    generator is removable."""
+    kept = list(gens.labels)
+    for label in gens.labels:
+        trial = [l for l in kept if l != label]
+        if positively_spans_rank(gens.subset(trial).vectors, rank):
+            kept = trial
+    return gens.subset(kept)
+
+
 def is_positive_basis(x: Generators, n: int) -> bool:
     """Does x positively span Q^n with no generator removable?"""
     vecs = _vectors(x)
     _check_dimension(vecs, n)
-    if not positively_spans_rank(vecs, n):
-        return False
-    for i in range(len(vecs)):
-        rest = vecs[:i] + vecs[i + 1 :]
-        if positively_spans_rank(rest, n):
-            return False
-    return True
+    gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(vecs)
+    return positively_spans_rank(vecs, n) and prune(gens, n) == gens
 
 
 def extract_positive_basis(x: Generators, n: int) -> GeneratorSet:
@@ -128,11 +136,7 @@ def extract_positive_basis(x: Generators, n: int) -> GeneratorSet:
         kept.append(label)
         if positively_spans_rank(gens.subset(kept).vectors, n):
             break
-    for label in list(kept):
-        trial = [l for l in kept if l != label]
-        if positively_spans_rank(gens.subset(trial).vectors, n):
-            kept = trial
-    return gens.subset(kept)
+    return prune(gens.subset(kept), n)
 
 
 def principal_subsets(

@@ -267,6 +267,8 @@ def loads_model(text: str) -> Model:
         raise ModelFormatError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ModelFormatError("JSON nested too deeply") from None
     return model_from_dict(data)
 
 

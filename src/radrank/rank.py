@@ -22,6 +22,7 @@ from .cones import (
     max_weak_reay,
     positively_spans_its_span,
     positively_spans_rank,
+    prune,
 )
 from .errors import PreconditionError, check_budget
 from .model import Model, PrimeId, Support, enumerate_v, support_mask, v_masks, v_membership
@@ -102,27 +103,21 @@ def find_inverse_basis(m: Model) -> Support:
     if not positively_spans_its_span(m.vectors()):
         raise PreconditionError("class vectors do not positively span their span")
     full = linear_rank(m.vectors())
-    delta = list(m.ids())
-    for pid in m.ids():
-        trial = [p for p in delta if p != pid]
-        if positively_spans_rank([m.vector(p) for p in trial], full):
-            delta = trial
-    return frozenset(delta)
+    return frozenset(prune(GeneratorSet(m.ids(), m.vectors()), full).labels)
 
 
 def max_reay_chain(m: Model, delta: Iterable[PrimeId]) -> ReayChain:
     """Longest chain of self-inverse subsets from {} up to an inverse basis."""
     labels = tuple(sorted(m.check_ids(delta)))
-    vecs = tuple(m.vector(p) for p in labels)
+    gens = GeneratorSet(labels, tuple(m.vector(p) for p in labels))
     full = linear_rank(m.vectors())
-    if not positively_spans_rank(vecs, full):
+    if not positively_spans_rank(gens.vectors, full):
         raise PreconditionError("delta is not an inverse basis (does not cover)")
-    for i in range(len(vecs)):
-        if positively_spans_rank(vecs[:i] + vecs[i + 1 :], full):
-            raise PreconditionError("delta is not an inverse basis (not minimal)")
+    if prune(gens, full) != gens:
+        raise PreconditionError("delta is not an inverse basis (not minimal)")
     # Self-inverse subsets of delta are the closed sets of the weak Reay
     # partition problem on delta's classes.
-    _, blocks = max_weak_reay(GeneratorSet(labels, vecs))
+    _, blocks = max_weak_reay(gens)
     return ReayChain(tuple(accumulate(blocks, frozenset.union, initial=frozenset())))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .errors import DimensionError
@@ -255,55 +255,46 @@ def strict_zero_combination(generators: Sequence[Sequence]) -> tuple[bool, Optio
 
 # --- rank and determinants --------------------------------------------------
 
+def _echelon(rows: list[list[Fraction]]) -> tuple[list[Fraction], int]:
+    """Forward elimination of rows, in place: the pivots it meets, one per
+    independent row, and the number of row swaps it made."""
+    pivots: list[Fraction] = []
+    swaps = 0
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        at = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if at is None:
+            continue
+        if at != r:
+            rows[r], rows[at] = rows[at], rows[r]
+            swaps += 1
+        prow = rows[r]
+        pv = prow[col]
+        for i in range(r + 1, len(rows)):
+            if rows[i][col] != 0:
+                f = rows[i][col] / pv
+                rows[i] = [a - f * p for a, p in zip(rows[i], prow)]
+        pivots.append(pv)
+    return pivots, swaps
+
+
 def linear_rank(vectors: Sequence[Sequence]) -> int:
     """Dimension of the rational span of the given vectors."""
     vecs = [list(vec(v)) for v in vectors]
-    if not vecs:
-        return 0
-    width = len(vecs[0])
-    for v in vecs:
-        if len(v) != width:
-            raise DimensionError("vectors have mixed dimensions")
-    rank = 0
-    for col in range(width):
-        pivot = next((i for i in range(rank, len(vecs)) if vecs[i][col] != 0), None)
-        if pivot is None:
-            continue
-        vecs[rank], vecs[pivot] = vecs[pivot], vecs[rank]
-        prow = vecs[rank]
-        pv = prow[col]
-        for i in range(len(vecs)):
-            if i != rank and vecs[i][col] != 0:
-                f = vecs[i][col] / pv
-                vecs[i] = [a - f * p for a, p in zip(vecs[i], prow)]
-        rank += 1
-        if rank == len(vecs):
-            break
-    return rank
+    if any(len(v) != len(vecs[0]) for v in vecs):
+        raise DimensionError("vectors have mixed dimensions")
+    return len(_echelon(vecs)[0])
 
 
 def determinant(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant of a square rational matrix."""
     a = [list(vec(row)) for row in rows]
-    n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise DimensionError("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        pv = a[col][col]
-        det *= pv
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] / pv
-                a[i] = [x - f * p for x, p in zip(a[i], a[col])]
-    return det
+    if any(len(row) != len(a) for row in a):
+        raise DimensionError("determinant needs a square matrix")
+    pivots, swaps = _echelon(a)
+    if len(pivots) < len(a):
+        return Fraction(0)
+    return prod(pivots, start=Fraction((-1) ** swaps))
 
 
 # --- Smith normal form ------------------------------------------------------

@@ -7,7 +7,8 @@ under test beyond the data types it consumes.  The two exceptions are
 check the union closures built around that LP, and the LP itself is checked
 against `frac_phase_one`.  `reay_by_lp` reads its chain off
 `longest_chain_by_dp`, the general longest-chain program, which shares
-nothing with the package's graded cover walk.  Keep inputs tiny.
+nothing with the package's graded cover walk, and `rank_by_height` reads V
+off `v_by_lp`.  Keep inputs tiny.
 """
 
 from fractions import Fraction
@@ -448,6 +449,18 @@ def v_by_lp(m):
         for size in range(1, len(ids) + 1)
         for combo in combinations(ids, size)
     }
+
+
+def rank_by_height(m, rng):
+    """The rank of m's class data as the number of primes minus the steps of
+    a maximal chain of V plus the empty set, the chain drawn by rng (ROADMAP
+    Fact B).  It applies when every prime lies in a member; V comes from
+    `v_by_lp`, so nothing here is shared with `recover_rank`."""
+    members = {s for s, principal in v_by_lp(m).items() if principal}
+    chain = random_maximal_chain({frozenset()} | members, rng)
+    if chain[-1] != frozenset(m.ids()):
+        raise PreconditionError("some prime lies in no member")
+    return len(m.ids()) - (len(chain) - 1)
 
 
 def longest_chain_by_dp(labels, is_closed):

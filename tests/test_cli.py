@@ -353,6 +353,29 @@ class TestErrorsAndDiagnostics:
         assert "line 2" in err
 
 
+    @pytest.mark.parametrize(
+        "data,fault",
+        [
+            (b'{"ambient_rank": 1, "primes": \xff}', "not UTF-8 at byte 30"),
+            (b"[" * 100000, "JSON nested too deeply"),
+        ],
+        ids=["undecodable", "too-deep"],
+    )
+    @pytest.mark.parametrize("kind", ["model", "phi", "vectors"])
+    def test_unreadable_input_is_located(self, capsys, tmp_path, d1_file, data, fault, kind):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        argv, where = {
+            "model": (["rank", str(path)], str(path)),
+            "phi": (["extend-iso", d1_file, d1_file, str(path)], "phi file"),
+            "vectors": (["reay", str(path)], "vectors file"),
+        }[kind]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {where}: {fault}\n"
+
+
 class TestReports:
     def test_byte_determinism(self, capsys, d1_file):
         _, first, _ = run(capsys, "mprop", "--json", d1_file)

@@ -381,6 +381,10 @@ class TestSerialization:
             loads_model('{"ambient_rank": 1,\n  "primes": [}')
         assert "line 2" in str(err.value)
 
+    def test_deep_nesting_is_a_format_error(self):
+        with pytest.raises(ModelFormatError, match="^JSON nested too deeply$"):
+            loads_model("[" * 100000)
+
     def test_missing_rank(self):
         with pytest.raises(ModelFormatError) as err:
             loads_model('{"primes": []}')

@@ -1,5 +1,6 @@
 """Almost-inverses, inverse bases, chain search, rank recovery."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,12 @@ from modelgen import (
     random_spanning_model,
     zero_model,
 )
-from oracles import echelon_rank_transposed, random_maximal_chain, spans_by_negations
+from oracles import (
+    echelon_rank_transposed,
+    random_maximal_chain,
+    rank_by_height,
+    spans_by_negations,
+)
 from radrank import (
     Model,
     PreconditionError,
@@ -24,6 +30,7 @@ from radrank import (
     gen_d3,
     inv_cone,
     inv_enum,
+    is_positive_basis,
     is_self_inverse,
     linear_rank,
     max_reay_chain,
@@ -332,3 +339,50 @@ class TestFactA:
         for m in models:
             steps = self._check_random_chains(m, rng)
             assert steps == len(m.ids()) - m.ambient_rank >= 2
+
+
+def padded_simplex_models():
+    """32 products of simplices, each with 1-3 primes added whose classes
+    are positive multiples of existing ones, and sometimes a zero class:
+    at most 12 primes, inverse bases that drop primes, and self-inverse
+    chains of 2-4 steps."""
+    rng = fresh_rng(salt=60)
+    models = []
+    for parts in [(1, 1), (1, 1, 1), (2, 1), (2, 1, 1), (2, 2), (3, 1), (1, 1, 1, 1), (2, 2, 1)]:
+        for _ in range(4):
+            base = simplex_product_model(rng, parts)
+            primes = list(base.primes)
+            for i in range(rng.randint(1, 3)):
+                _, v = rng.choice(base.primes)
+                scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+                primes.append((f"Q{i}", tuple(scale * x for x in v)))
+            if rng.random() < 0.5:
+                primes.append(("Z", (Fraction(0),) * base.ambient_rank))
+            models.append(Model(base.ambient_rank, primes))
+    return models
+
+
+class TestMultiStepChains:
+    def test_routes_agree_past_one_step(self):
+        for m in padded_simplex_models():
+            delta = find_inverse_basis(m)
+            rank = linear_rank(m.vectors())
+            assert len(delta) < len(m.ids()) <= 12
+            assert 2 <= len(delta) - rank <= 4
+            assert recover_rank(m) == rank == len(delta) - max_reay_chain(m, delta).cardinality
+            assert is_positive_basis([m.vector(p) for p in sorted(delta)], m.ambient_rank)
+
+
+class TestFactB:
+    """The rank is n minus the steps of any maximal chain of V plus the
+    empty set, when every prime lies in a member."""
+
+    def test_spanning_population(self, spanning_population):
+        rng = fresh_rng(salt=61)
+        for m in spanning_population:
+            assert rank_by_height(m, rng) == recover_rank(m)
+
+    def test_padded_simplex_products(self):
+        rng = fresh_rng(salt=62)
+        for m in padded_simplex_models():
+            assert rank_by_height(m, rng) == recover_rank(m)
