@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
 from . import claborn, rank as rank_ops, semilattice
@@ -79,6 +80,46 @@ def _parse_support(text: str) -> list[str]:
 
 def _family_json(family) -> list[list[str]]:
     return [sorted(s) for s in family]
+
+
+def _json_text(value: object) -> str:
+    """The text of `json.dumps(value, indent=2)` for str-keyed dicts, lists,
+    strings and scalars.  json runs its pure-Python encoder whenever `indent`
+    is set; here strings go through its C `encode_basestring_ascii`, and the
+    pieces are joined once at the end, as json does, with no large
+    intermediate strings."""
+    out: list[str] = []
+
+    def put(value: object, indent: str) -> None:
+        if isinstance(value, str):
+            out.append(encode_basestring_ascii(value))
+            return
+        if not value or not isinstance(value, (dict, list, tuple)):
+            out.append(json.dumps(value))
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(value, dict):
+            out.append("{\n" + inner)
+            for n, (key, item) in enumerate(value.items()):
+                out.append((sep if n else "") + encode_basestring_ascii(key) + ": ")
+                put(item, inner)
+            out.append("\n" + indent + "}")
+        elif all(type(item) is str for item in value):
+            out.append(
+                "[\n" + inner + sep.join(map(encode_basestring_ascii, value))
+                + "\n" + indent + "]"
+            )
+        else:
+            out.append("[\n" + inner)
+            for n, item in enumerate(value):
+                if n:
+                    out.append(sep)
+                put(item, inner)
+            out.append("\n" + indent + "]")
+
+    put(value, "")
+    return "".join(out)
 
 
 # --- handlers ----------------------------------------------------------------
@@ -361,7 +402,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }
         if ns.timing:
             report["timing_ms"] = round(elapsed_ms, 3)
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         for line in lines:
             print(line)

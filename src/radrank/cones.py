@@ -4,25 +4,25 @@ A finite set S positively spans its linear span iff -(sum of S) lies in the
 nonnegative hull of S, iff some strictly positive combination of S vanishes
 (Gordan's alternative); the per-generator form is kept only as a test oracle.
 The sets that positively span their span form a union-closed family, and each
-member is a union of positive circuits of at most rank + 1 vectors.  An
-uncovered member is itself a circuit, so `principal_subsets` settles all 2^n
-subsets with the exact circuit test `positive_circuit` on the uncovered ones
-of at most rank + 1 vectors, and no LP; `enumerate_v` and the weak Reay
-chain both run it.  Partitions are represented by their chains of prefix
-unions.  The closed sets are graded, so the maximum-cardinality search walks
-up least covers; its 2^n predicate calls cap the practical size at a dozen
-generators.
+member is a union of positive circuits.  An uncovered member is itself a
+circuit, so `principal_subsets` settles all 2^n subsets with no LP and no
+rank pre-pass: it carries an integer elimination down from each subset's
+prefix and takes one `circuit_step` on each uncovered subset whose prefix is
+linearly independent; `enumerate_v` and the weak Reay chain both run it.
+Partitions are represented by their chains of prefix unions.  The closed sets
+are graded, so the maximum-cardinality search walks up least covers; its 2^n
+predicate calls cap the practical size at a dozen generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionError, PreconditionError, check_budget
 from .ratlin import (
-    Vector, cone_member, integer_columns, linear_rank, positive_circuit, vec
+    EliminationState, Vector, circuit_step, cone_member, elimination_state,
+    integer_columns, linear_rank, vec,
 )
 
 
@@ -147,27 +147,44 @@ def principal_subsets(
     principal says whether some strictly positive combination of the
     subset's vectors vanishes.
 
-    The principal subsets are union-closed, so a subset covered by the ones
-    below it (`inside[mask]`, their union) is principal; an uncovered one of
-    more than rank + 1 vectors is not, since every positive circuit fits in
-    rank + 1; any other is principal iff it is a positive circuit, which
-    `positive_circuit` decides on the subset's integer columns, with no LP.
+    The subsets of each size extend those one smaller (their prefixes) by a
+    larger index.  The principal subsets are union-closed, so a subset
+    covered by the ones below it (`inside[mask]`, their union) is principal.
+    Any other is principal iff it is a positive circuit, which needs its
+    prefix linearly independent: only then does `circuit_step` run, one
+    elimination step on the integer columns, carried down from the prefix
+    with no LP.  Independent prefixes have at most rank vectors, so the tests
+    stop at rank + 1 vectors with no rank pre-pass.
     """
     count = len(vecs)
     cols = integer_columns(vecs)
-    most = linear_rank(vecs) + 1
     inside = [0] * (1 << count)
-    for size in range(1, count + 1):
-        for combo in combinations(range(count), size):
-            mask = sum(1 << i for i in combo)
-            below = 0
-            for i in combo:
-                below |= inside[mask ^ (1 << i)]
-            principal = below == mask or (
-                size <= most and positive_circuit([cols[i] for i in combo]) is not None
-            )
-            inside[mask] = mask if principal else below
-            yield combo, mask, principal
+    # (indices, mask, elimination state, or None once linearly dependent)
+    level: list[tuple[tuple[int, ...], int, Optional[EliminationState]]] = [
+        ((), 0, elimination_state(len(cols[0]) if cols else 0))
+    ]
+    while level:
+        longer = []
+        for prefix, prefix_mask, state in level:
+            for i in range(prefix[-1] + 1 if prefix else 0, count):
+                mask = prefix_mask | 1 << i
+                below = inside[prefix_mask]
+                for j in prefix:
+                    below |= inside[mask ^ 1 << j]
+                grown = None
+                if below == mask:
+                    principal = True
+                elif state is None:
+                    principal = False
+                else:
+                    grown, kernel = circuit_step(state, cols[i])
+                    principal = kernel is not None
+                inside[mask] = mask if principal else below
+                indices = prefix + (i,)
+                yield indices, mask, principal
+                if i + 1 < count:
+                    longer.append((indices, mask, grown))
+        level = longer
 
 
 def longest_closed_chain(
@@ -220,7 +237,7 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
 
     The closed sets are the empty set and the principal subsets, settled by
     `principal_subsets` with at most sum_{k <= rank + 1} C(n, k) circuit
-    tests; the only LP is the spanning precondition.
+    steps; the only LP is the spanning precondition.
     """
     gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(x)
     if len(gens) == 0:

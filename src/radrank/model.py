@@ -10,8 +10,8 @@ V is closed under unions, and each member is a union of positive circuits:
 the supports of the extreme rays of {lambda >= 0 : A lambda = 0}, each of at
 most rank + 1 primes (rank = linear rank of the class vectors).  So
 `enumerate_v` is one pass of `cones.principal_subsets`, the sweep the weak
-Reay chain also runs: at most sum_{k <= rank + 1} C(n, k) exact kernel tests
-over n primes and no LP.  `v_membership` on a single support is the LP.
+Reay chain also runs: at most sum_{k <= rank + 1} C(n, k) exact elimination
+steps over n primes and no LP.  `v_membership` on a single support is the LP.
 """
 
 from __future__ import annotations

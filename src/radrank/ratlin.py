@@ -5,16 +5,21 @@ the simplex, and no floats ever, since the cone decisions downstream sit
 exactly on boundaries where rounding flips verdicts.  The pieces are a
 phase-1 simplex for equality systems with lower bounds,
 nonnegative-combination (cone) membership, strictly positive zero
-combinations, an LP-free positive circuit test on integer columns, rank,
-and a Smith normal form that returns its unimodular transforms.
+combinations, rank, and a Smith normal form that returns its unimodular
+transforms.  The LP-free positive circuit test is one fraction-free
+elimination step on integer columns, `circuit_step`, that extends the state
+of an independent prefix, so a sweep over subsets carries it down instead of
+eliminating each subset afresh.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
-from typing import Optional, Sequence
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionError
 
@@ -55,48 +60,91 @@ def integer_columns(vectors: Sequence[Sequence]) -> list[tuple[int, ...]]:
     return list(zip(*rows)) if rows else [()] * len(vecs)
 
 
+class EliminationState(NamedTuple):
+    """Fraction-free Gauss-Jordan elimination of linearly independent integer
+    columns c_0, ..., c_(k-1) in Q^dim: row j of `inverse` takes c_j to
+    `scale` and every other c_i to 0, and the dim - k rows of `annihilator`
+    take every c_i to 0."""
+
+    scale: int
+    inverse: tuple[tuple[int, ...], ...]
+    annihilator: tuple[tuple[int, ...], ...]
+
+
+def elimination_state(dim: int) -> EliminationState:
+    """The elimination state of no columns in Q^dim."""
+    unit = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return EliminationState(1, (), unit)
+
+
+def circuit_step(
+    state: EliminationState, column: Sequence[int]
+) -> tuple[Optional[EliminationState], Optional[tuple[int, ...]]]:
+    """Add one column to the elimination of linearly independent columns.
+
+    Returns (extended state, None) when the column is independent of the
+    state's columns; (None, kernel) when it is a combination of them with
+    every coefficient strictly negative, kernel being the primitive, strictly
+    positive kernel vector of the state's columns followed by this one; and
+    (None, None) otherwise.  Deciding takes at most dim dot products; only
+    an extension pivots the rows, at about dim^2 integer products.
+    """
+    scale, inverse, annihilator = state
+    for p, row in enumerate(annihilator):
+        alpha = sum(map(mul, row, column))
+        if alpha:
+            break
+    else:
+        # column = sum_j (inverse[j] . column / scale) c_j, a positive
+        # circuit iff every coefficient is strictly negative
+        kernel = []
+        for row in inverse:
+            x = sum(map(mul, row, column))
+            if x * scale >= 0:
+                return None, None
+            kernel.append(-x)
+        kernel.append(scale)
+        g = gcd(*kernel) if scale > 0 else -gcd(*kernel)
+        return None, tuple(x // g for x in kernel)
+    # pivot on annihilator row p, which takes the column to alpha != 0
+    pivot = annihilator[p]
+    grown = []
+    for row in inverse:
+        x = sum(map(mul, row, column))
+        grown.append([alpha * a - x * b for a, b in zip(row, pivot)])
+    grown.append([scale * b for b in pivot])
+    g = gcd(alpha * scale, *chain.from_iterable(grown))
+    rest = []
+    for row in annihilator[p + 1:]:
+        x = sum(map(mul, row, column))
+        rest.append(
+            tuple(_primitive([alpha * a - x * b for a, b in zip(row, pivot)]))
+            if x else row
+        )
+    return EliminationState(
+        alpha * scale // g,
+        tuple(tuple(a // g for a in row) for row in grown),
+        annihilator[:p] + tuple(rest),
+    ), None
+
+
 def positive_circuit(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
     """The primitive, strictly positive kernel vector of the integer columns
     when their kernel is one-dimensional and spanned by a one-signed vector
     (the columns are then a positive circuit); None otherwise.
 
-    Integer Gauss-Jordan elimination on primitive rows, with no LP: the
-    pivot rows end as p_i * x_(c_i) + a_i * x_f = 0 for the one free column
-    f, so the kernel is one-signed iff every a_i has the sign opposite p_i.
+    A fold of `circuit_step`, with no LP: the columns are a positive circuit
+    iff all but the last are linearly independent and the last one's step
+    finds a kernel.
     """
-    rows = [_primitive(list(row)) for row in zip(*columns) if any(row)]
-    done: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    free = None
-    for col in range(len(columns)):
-        at = next((i for i, row in enumerate(rows) if row[col]), None)
-        if at is None:
-            if free is not None:
-                return None  # nullity >= 2
-            free = col
-            continue
-        prow = rows.pop(at)
-        piv = prow[col]
-        rows = [
-            _primitive([piv * a - row[col] * p for a, p in zip(row, prow)])
-            if row[col] else row
-            for row in rows
-        ]
-        done = [
-            (c, _primitive([piv * a - row[col] * p for a, p in zip(row, prow)]))
-            if row[col] else (c, row)
-            for c, row in done
-        ]
-        done.append((col, prow))
-    if free is None:
-        return None  # nullity 0
-    if any(row[free] * row[c] >= 0 for c, row in done):
+    if not columns:
         return None
-    scale = lcm(*(abs(row[c]) for c, row in done))
-    kernel = [scale] * len(columns)
-    for c, row in done:
-        kernel[c] = -row[free] * (scale // row[c])
-    g = gcd(*kernel)
-    return tuple(x // g for x in kernel)
+    state: Optional[EliminationState] = elimination_state(len(columns[0]))
+    for column in columns[:-1]:
+        state, _ = circuit_step(state, column)
+        if state is None:
+            return None
+    return circuit_step(state, columns[-1])[1]
 
 
 def _phase_one(

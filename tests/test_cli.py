@@ -9,7 +9,7 @@ import pytest
 
 from modelgen import zero_model
 from radrank import gen_d1, gen_d3, loads_model, save_model
-from radrank.cli import build_parser, main
+from radrank.cli import _json_text, build_parser, main
 
 
 @pytest.fixture
@@ -408,6 +408,78 @@ class TestReports:
         run(capsys, "gen", "d2", "--k", "5", "-o", str(first))
         save_model(loads_model(first.read_text()), str(second))
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestReportWriter:
+    """`--json` reports carry the bytes of `json.dumps(report, indent=2)`."""
+
+    ODD_IDS = ['q"uote', "back\\slash", "ctl\x01\t\n", "caf\u00e9", "snow\u2603", "\U0001f600"]
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            None,
+            True,
+            False,
+            0,
+            -17,
+            10**40,
+            -(2**70),
+            1.25,
+            round(2 / 3 * 1000, 3),
+            "",
+            [[], {}, [[1, [None, [True]]]], {"a": {"b": []}}],
+            {"ids": ODD_IDS, ODD_IDS[0]: {ODD_IDS[2]: [ODD_IDS[3], -1]}},
+            ("tuple", ["inside"]),
+        ],
+    )
+    def test_synthetic_values(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    def test_every_subcommand_report(self, capsys, tmp_path, d1_file, d3_file):
+        from radrank import enumerate_v, gen_d2
+
+        d2_file = tmp_path / "d2.json"
+        save_model(gen_d2(4), str(d2_file))
+        eta = {"P0": "Q0", "P1": "Q1", "P2": "Q2", "P3": "Q3"}
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps(
+            [[sorted(s), sorted(eta[p] for p in s)] for s in enumerate_v(gen_d1(4))]
+        ))
+        vecs = tmp_path / "vecs.json"
+        vecs.write_text(json.dumps({
+            "labels": self.ODD_IDS[:4],
+            "vectors": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]],
+        }))
+        argvs = [
+            ["validate", d1_file],
+            ["v-member", d1_file, "P0,P1"],
+            ["enumerate-v", d1_file],
+            ["coprime", d1_file, "P0,P1", "P2,P3"],
+            ["mprop", d1_file],
+            ["inv", d1_file, "P0"],
+            ["inv", d1_file],
+            ["rank", d1_file],
+            ["rank", "--timing", d1_file],
+            ["iso", d1_file, str(d2_file)],
+            ["iso", d1_file, d3_file],
+            ["extend-iso", d1_file, str(d2_file), str(phi)],
+            ["gen", "d2", "--k", "3"],
+            ["reay", str(vecs)],
+        ]
+        commands = set()
+        for argv in argvs:
+            code, out, _ = run(capsys, argv[0], "--json", *argv[1:])
+            assert code in (0, 1)
+            report = json.loads(out)
+            assert out == json.dumps(report, indent=2) + "\n"
+            commands.add(report["command"])
+        assert commands == {
+            "validate", "v-member", "enumerate-v", "coprime", "mprop", "inv",
+            "rank", "iso", "extend-iso", "gen", "reay",
+        }
 
 
 class TestOneParserPerProcess:

@@ -27,7 +27,7 @@ from radrank import (
 from radrank.cones import (
     longest_closed_chain, positively_spans_its_span, principal_subsets
 )
-from radrank.ratlin import strict_zero_combination
+from radrank.ratlin import integer_columns, strict_zero_combination
 
 F = Fraction
 
@@ -327,18 +327,18 @@ class TestFactA:
 
 class TestMaxWeakReayLPCount:
     """Only uncovered subsets of at most rank + 1 generators reach the
-    circuit test, and the only LP is the spanning precondition."""
+    circuit step, and the only LP is the spanning precondition."""
 
     def _counted(self, monkeypatch):
         circuits, spanning, sweep_lps, lps = [], [], [], []
-        real_circuit = radrank.cones.positive_circuit
+        real_step = radrank.cones.circuit_step
         real_spanning = radrank.cones.positively_spans_its_span
         real_szc = radrank.ratlin.strict_zero_combination
         real_phase_one = radrank.ratlin._phase_one
 
-        def counted_circuit(columns):
-            circuits.append(len(columns))
-            return real_circuit(columns)
+        def counted_step(state, column):
+            circuits.append(len(state.inverse) + 1)  # the tested subset's size
+            return real_step(state, column)
 
         def counted_spanning(x):
             spanning.append(x)
@@ -352,7 +352,7 @@ class TestMaxWeakReayLPCount:
             lps.append(n)
             return real_phase_one(n, equations)
 
-        monkeypatch.setattr(radrank.cones, "positive_circuit", counted_circuit)
+        monkeypatch.setattr(radrank.cones, "circuit_step", counted_step)
         monkeypatch.setattr(radrank.cones, "positively_spans_its_span", counted_spanning)
         monkeypatch.setattr(radrank.ratlin, "strict_zero_combination", counted_szc)
         monkeypatch.setattr(radrank.ratlin, "_phase_one", counted_phase_one)
@@ -405,22 +405,24 @@ class TestPrincipalSubsets:
         self, monkeypatch
     ):
         calls = []
-        real_circuit = radrank.cones.positive_circuit
+        real_step = radrank.cones.circuit_step
 
-        def counted_circuit(columns):
-            calls.append(len(columns))
-            return real_circuit(columns)
+        def counted_step(state, column):
+            calls.append((len(state.inverse), column))
+            return real_step(state, column)
 
-        monkeypatch.setattr(radrank.cones, "positive_circuit", counted_circuit)
+        monkeypatch.setattr(radrank.cones, "circuit_step", counted_step)
         tested_total = 0
         for vecs in self.SETS:
             count = len(vecs)
+            cols = integer_columns(vecs)
             got, tested = [], []
             for indices, mask, principal in principal_subsets(vecs):
-                # the circuit test, if any, runs just before its subset is yielded
+                # the step, if any, runs just before its subset is yielded,
+                # on the prefix's state and the last index's column
                 assert len(calls) <= 1
                 if calls:
-                    assert calls.pop() == len(indices)
+                    assert calls.pop() == (len(indices) - 1, cols[indices[-1]])
                     tested.append(mask)
                 got.append((indices, mask, principal))
             assert [indices for indices, _, _ in got] == [
@@ -435,18 +437,22 @@ class TestPrincipalSubsets:
                 assert principal == want
                 if want:
                     family.add(mask)
+            # exactly the uncovered subsets with a linearly independent
+            # prefix, which also keeps every tested subset within rank + 1
             most = echelon_rank_transposed(vecs) + 1
-            uncovered = []
-            for _, mask, _ in got:
+            want_tested = []
+            for indices, mask, _ in got:
                 below = 0
                 for f in family:
                     if f & mask == f and f != mask:
                         below |= f
-                if below != mask and bin(mask).count("1") <= most:
-                    uncovered.append(mask)
-            assert tested == uncovered
+                prefix = [vecs[i] for i in indices[:-1]]
+                if below != mask and echelon_rank_transposed(prefix) == len(prefix):
+                    assert len(indices) <= most
+                    want_tested.append(mask)
+            assert tested == want_tested
             tested_total += len(tested)
-        assert tested_total >= 5_000
+        assert tested_total >= 4_000
 
 
 class TestLongestClosedChain:

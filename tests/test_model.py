@@ -222,17 +222,17 @@ class TestEnumerateVAgainstLP:
 
 class TestEnumerateVLPCount:
     """Only uncovered subsets of at most rank + 1 primes reach the circuit
-    test, and the sweep runs no LP."""
+    step, and the sweep runs no LP."""
 
     def _circuit_calls(self, monkeypatch, m):
         calls, lps = [], []
-        real_circuit = radrank.cones.positive_circuit
+        real_step = radrank.cones.circuit_step
         real_szc = radrank.model.strict_zero_combination
         real_phase_one = radrank.ratlin._phase_one
 
-        def counted_circuit(columns):
-            calls.append(len(columns))
-            return real_circuit(columns)
+        def counted_step(state, column):
+            calls.append(len(state.inverse) + 1)  # the tested subset's size
+            return real_step(state, column)
 
         def counted_szc(gens):
             lps.append(len(gens))
@@ -242,7 +242,7 @@ class TestEnumerateVLPCount:
             lps.append(n)
             return real_phase_one(n, equations)
 
-        monkeypatch.setattr(radrank.cones, "positive_circuit", counted_circuit)
+        monkeypatch.setattr(radrank.cones, "circuit_step", counted_step)
         monkeypatch.setattr(radrank.model, "strict_zero_combination", counted_szc)
         monkeypatch.setattr(radrank.ratlin, "_phase_one", counted_phase_one)
         enumerate_v(m)

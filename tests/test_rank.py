@@ -38,6 +38,7 @@ from radrank import (
     transform,
     validate,
 )
+import radrank.rank
 from radrank.cones import positively_spans_its_span
 
 
@@ -241,6 +242,26 @@ class TestRecoverRank:
     def test_requires_positively_spanning(self):
         with pytest.raises(PreconditionError):
             recover_rank(Model(1, [("a", (1,))]))
+
+    def test_own_greedy_finds_the_inverse_basis(self, monkeypatch, spanning_population):
+        # recover_rank's mask greedy is a route of its own, so its basis is
+        # checked directly: by Fact A any covering set would give the rank
+        bases = []
+        real_chain = radrank.rank.longest_closed_chain
+
+        def captured(labels, is_closed):
+            bases.append(frozenset(labels))
+            return real_chain(labels, is_closed)
+
+        monkeypatch.setattr(radrank.rank, "longest_closed_chain", captured)
+        families = [gen(k) for gen in (gen_d1, gen_d2, gen_d3) for k in range(2, 9)]
+        # gen_d3(2) alone does not positively span its span
+        families = [m for m in families if positively_spans_its_span(m.vectors())]
+        assert len(families) == 20
+        for m in list(spanning_population) + families:
+            del bases[:]
+            recover_rank(m)
+            assert bases == [find_inverse_basis(m)]
 
     def test_matches_linear_rank(self):
         rng = fresh_rng(salt=54)

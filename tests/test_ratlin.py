@@ -30,6 +30,7 @@ from radrank import (
     smith_normal_form,
     strict_zero_combination,
 )
+from radrank.ratlin import circuit_step, elimination_state
 
 F = Fraction
 
@@ -308,6 +309,90 @@ class TestPositiveCircuit:
                 for d in range(dim)
             )
         assert found >= 3_000
+
+
+class TestCircuitStep:
+    """One elimination step against the transposed echelon rank and the
+    Fraction RREF nullspace, on every independent prefix of seeded integer
+    columns and every next column."""
+
+    @staticmethod
+    def _columns(rng, dim, count):
+        cols = []
+        for _ in range(count):
+            k = rng.random()
+            if cols and k < 0.1:
+                cols.append(rng.choice(cols))  # repeated column
+            elif cols and k < 0.2:
+                cols.append(tuple(-x for x in rng.choice(cols)))  # v / -v
+            elif k < 0.3:
+                cols.append((0,) * dim)  # zero column
+            elif cols and k < 0.55:
+                # a combination of earlier columns, often strictly negative
+                picks = rng.sample(cols, rng.randint(1, len(cols)))
+                weights = [rng.randint(-5, -1) if rng.random() < 0.7
+                           else rng.randint(-3, 3) for _ in picks]
+                cols.append(tuple(
+                    sum(w * c[d] for w, c in zip(weights, picks)) for d in range(dim)
+                ))
+            else:
+                cols.append(tuple(
+                    rng.choice((-1, 1)) * 2 ** rng.randint(0, 20)
+                    if rng.random() < 0.2 else rng.randint(-3, 3)
+                    for _ in range(dim)
+                ))
+        return cols
+
+    @staticmethod
+    def _check_state(state, cols, dim):
+        def dot(row, col):
+            return sum(a * b for a, b in zip(row, col))
+
+        assert state.scale != 0
+        assert len(state.inverse) == len(cols)
+        assert len(state.annihilator) == dim - len(cols)
+        for i, row in enumerate(state.inverse):
+            assert [dot(row, c) for c in cols] == [
+                state.scale * (i == j) for j in range(len(cols))
+            ]
+        assert all(dot(row, c) == 0 for row in state.annihilator for c in cols)
+        # the rows together stay independent, so nothing outside the span
+        # of the columns is missed
+        assert echelon_rank_transposed(state.inverse + state.annihilator) == dim
+
+    def test_matches_rank_and_rref_nullspace(self):
+        rng = fresh_rng(salt=35)
+        counts = {"extended": 0, "kernel": 0, "neither": 0}
+        for _ in range(1_500):
+            dim = rng.randrange(0, 5)
+            cols = self._columns(rng, dim, rng.randrange(1, 7))
+            state, prefix = elimination_state(dim), []
+            while state is not None:
+                rank = echelon_rank_transposed(prefix)
+                assert rank == len(prefix) == len(state.inverse)
+                for col in cols:
+                    grown, kernel = circuit_step(state, col)
+                    extends = echelon_rank_transposed(prefix + [col]) > rank
+                    assert (grown is not None) == extends
+                    if extends:
+                        assert kernel is None
+                        self._check_state(grown, prefix + [col], dim)
+                        counts["extended"] += 1
+                        continue
+                    want = circuit_by_rref(prefix + [col])
+                    assert (kernel is None) == (want is None), (prefix, col)
+                    if kernel is None:
+                        counts["neither"] += 1
+                        continue
+                    counts["kernel"] += 1
+                    assert all(type(x) is int and x > 0 for x in kernel)
+                    assert gcd(*kernel) == 1
+                    assert all(k * want[0] == w * kernel[0] for k, w in zip(kernel, want))
+                if len(prefix) == len(cols):
+                    break
+                state, _ = circuit_step(state, cols[len(prefix)])
+                prefix.append(cols[len(prefix)])
+        assert min(counts.values()) >= 2_000, counts
 
 
 class TestLinearRank:
