@@ -75,39 +75,29 @@ def _check_length(k: int) -> None:
         raise ValueError("truncations need at least two primes")
 
 
-def d1_relations(k: int) -> RelationSet:
+def _adjacent_relations(k: int, weight: int, anchored: bool = False) -> RelationSet:
+    """Rows e_n + weight * e_{n+1} over adjacent generators; an anchored set
+    starts from the row e_0 in place of e_0 + weight * e_1."""
     _check_length(k)
-    rows = []
-    for n in range(k - 1):
+    rows = [(1,) + (0,) * (k - 1)] if anchored else []
+    for n in range(len(rows), k - 1):
         row = [0] * k
         row[n] = 1
-        row[n + 1] = 1
+        row[n + 1] = weight
         rows.append(tuple(row))
     return RelationSet(k, tuple(rows))
+
+
+def d1_relations(k: int) -> RelationSet:
+    return _adjacent_relations(k, 1)
 
 
 def d2_relations(k: int) -> RelationSet:
-    _check_length(k)
-    rows = []
-    for n in range(k - 1):
-        row = [0] * k
-        row[n] = 1
-        row[n + 1] = 2
-        rows.append(tuple(row))
-    return RelationSet(k, tuple(rows))
+    return _adjacent_relations(k, 2)
 
 
 def d3_relations(k: int) -> RelationSet:
-    _check_length(k)
-    first = [0] * k
-    first[0] = 1
-    rows = [tuple(first)]
-    for n in range(1, k - 1):
-        row = [0] * k
-        row[n] = 1
-        row[n + 1] = 1
-        rows.append(tuple(row))
-    return RelationSet(k, tuple(rows))
+    return _adjacent_relations(k, 1, anchored=True)
 
 
 def gen_d1(k: int) -> Model:

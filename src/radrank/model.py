@@ -90,9 +90,8 @@ class Model:
 
     def check_ids(self, ids: Iterable[PrimeId]) -> frozenset[str]:
         s = frozenset(ids)
-        unknown = [pid for pid in s if pid not in self._by_id]
-        if unknown:
-            raise ValueError(f"unknown prime ids: {sorted(unknown)}")
+        if not self._by_id.keys() >= s:
+            raise ValueError(f"unknown prime ids: {sorted(s - self._by_id.keys())}")
         return s
 
 

@@ -2,8 +2,8 @@
 
 Principal supports form a semilattice under union, with divisibility turning
 into containment.  Coprimality of a tuple can be decided two ways: the raw
-definition quantifies over decompositions inside the finite family V (one
-table of decompositions per support), the support criterion just intersects.
+definition quantifies over decompositions inside the finite family V (built
+per call, nothing kept on the model), the support criterion just intersects.
 On witness-rich models the maximal product-proper subfamilies are exactly the
 per-prime stars nu(P), which is what lets an isomorphism of the families be
 transported back to a bijection of the primes: eta = theta . phi . nu.
@@ -29,54 +29,49 @@ def meet(x: Iterable[str], y: Iterable[str]) -> Support:
     return frozenset(x) | frozenset(y)
 
 
-def _tables(m: Model) -> dict[int, Optional[dict[int, int]]]:
-    """Decomposition tables keyed by member mask, each built on first use."""
-    if "decompositions" not in m._cache:
-        m._cache["decompositions"] = dict.fromkeys(v_masks(m))
-    return m._cache["decompositions"]
-
-
 def _principal_masks(m: Model, supports: Iterable[Iterable[str]]) -> list[int]:
     """The supports as masks over `m.ids()`, refusing any not a member of V."""
     ids = m.ids()
-    tables = _tables(m)
+    members = set(v_masks(m))
     masks = []
     for s in supports:
         sup = m.check_ids(s)
         mask = support_mask(ids, sup)
-        if mask not in tables:
+        if mask not in members:
             raise ValueError(f"support {sorted(sup)} is not principal in this model")
         masks.append(mask)
     return masks
-
-
-def _decompositions(m: Model, a: int) -> dict[int, int]:
-    """For a member a: {Z = a | B over members B: primes of Z omitted by some
-    such B}.  V is union-closed, so the keys are the members a divides."""
-    tables = _tables(m)
-    table = tables[a]
-    if table is None:
-        table = tables[a] = {}
-        for b in v_masks(m):
-            z = a | b
-            table[z] = table.get(z, 0) | (z & ~b)
-    return table
 
 
 def product_coprime_raw(m: Model, supports: Sequence[Iterable[str]]) -> bool:
     """Coprimality by the finite-semigroup definition.
 
     The tuple fails exactly when some member Z decomposes as a_j * B_j for
-    every j while a chosen prime of one a_j escapes all the other B_i.  The
-    B_i are chosen independently, so the escape test factors through a single
-    prime, which is what the loop below checks over the Z common to every
-    coordinate's decomposition table.
+    every j while a chosen prime of one a_j escapes all the other B_i.  V is
+    union-closed, so the Z every coordinate divides are the members containing
+    the union U of the coordinates, and only members B containing U - a_j
+    decompose such a Z.  Each coordinate's table {Z: primes of Z omitted by
+    some such B} is built from those members alone, per call.  The B_i are
+    chosen independently, so the escape test factors through a single prime,
+    which is what the loop below checks over the Z of the tables.
     """
     masks = _principal_masks(m, supports)
     if len(masks) < 2:
         raise ValueError("coprimality concerns tuples of at least two supports")
-    tables = [_decompositions(m, a) for a in masks]
-    for z in set(tables[0]).intersection(*tables[1:]):
+    union = 0
+    for a in masks:
+        union |= a
+    members = v_masks(m)
+    tables = []
+    for a in masks:
+        need = union & ~a
+        table: dict[int, int] = {}
+        for b in members:
+            if b & need == need:
+                z = a | b
+                table[z] = table.get(z, 0) | (z & ~b)
+        tables.append(table)
+    for z in tables[0]:
         for j, a in enumerate(masks):
             escape = z  # primes omittable by every other coordinate
             for i, table in enumerate(tables):
@@ -214,6 +209,9 @@ def extend_iso(
     """Transport a semilattice isomorphism phi: V(ma) -> V(mb) to the primes.
 
     phi is checked to be a union-preserving bijection of the two families.
+    V is the union closure of its circuits (its minimal members), so phi
+    preserves unions iff phi(x | c) = phi(x) | phi(c) for every member x and
+    circuit c; a failure names the least such pair in `enumerate_v` order.
     Each prime P goes to the unique prime common to the phi-images of the
     members through P; the returned flag records whether the induced prime map
     reproduces phi on every member.
@@ -231,13 +229,18 @@ def extend_iso(
         raise ValueError("phi must be defined on exactly the principal supports")
     if set(mapping.values()) != vb or len(set(mapping.values())) != len(mapping):
         raise ValueError("phi must map onto the codomain principal supports")
-    # enumerate_v's order names the least failing pair under any hash seed
+    # a proper subset comes first in enumerate_v's order, so a member holding
+    # no circuit met before it is minimal
+    circuits: list[Support] = []
     for x in va:
-        for y in va:
-            if mapping[x | y] != mapping[x] | mapping[y]:
+        if not any(c <= x for c in circuits):
+            circuits.append(x)
+    for x in va:
+        for c in circuits:
+            if mapping[x | c] != mapping[x] | mapping[c]:
                 raise ValueError(
                     f"phi does not preserve products: breaks at "
-                    f"{sorted(x)} and {sorted(y)}"
+                    f"{sorted(x)} and {sorted(c)}"
                 )
     if not validate(ma).witness_rich or not validate(mb).witness_rich:
         raise PreconditionError(

@@ -353,6 +353,13 @@ def maximal_product_proper(v_family):
     return set(out)
 
 
+def union_failures(v_family, phi):
+    """Every pair (x, y) of members, in the family's order, that phi does not
+    carry to a union: phi[x | y] != phi[x] | phi[y].  All |V|^2 pairs."""
+    fam = [frozenset(s) for s in v_family]
+    return [(x, y) for x in fam for y in fam if phi[x | y] != phi[x] | phi[y]]
+
+
 def iso_by_permutations(va, ids_a, vb, ids_b):
     """The least bijection ids_a -> ids_b (images listed in ascending order of
     ids_a, compared as tuples) carrying the family va exactly onto vb, or

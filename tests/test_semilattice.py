@@ -4,12 +4,19 @@ from itertools import combinations
 
 import pytest
 
-from modelgen import fresh_rng, random_model, relabeled, zero_model
+from modelgen import (
+    fresh_rng,
+    random_model,
+    random_spanning_model,
+    relabeled,
+    zero_model,
+)
 from oracles import (
     iso_by_permutations,
     maximal_product_proper,
     product_proper_by_raw,
     raw_coprime,
+    union_failures,
 )
 from radrank import (
     PreconditionError,
@@ -28,6 +35,7 @@ from radrank import (
     product_coprime_raw,
     product_coprime_supports,
     theta,
+    validate,
 )
 
 
@@ -135,6 +143,31 @@ class TestProductCoprime:
                     disagreements += raw != product_coprime_supports(tup)
         assert checked > 1000
         assert disagreements > 0
+
+    def test_raw_keeps_no_state_on_the_model(self):
+        m = gen_d1(8)
+        enumerate_v(m)  # V itself is cached by the model
+        before = list(m._cache)
+        assert product_coprime_raw(m, [{"P0", "P1"}, {"P2", "P3"}])
+        assert not product_coprime_raw(m, [{"P0", "P1"}, {"P0", "P3"}])
+        assert list(m._cache) == before
+
+    def test_raw_matches_definition_past_six_primes(self):
+        rng = fresh_rng(salt=44)
+        models = [gen_d1(8), gen_d2(8)] + [
+            random_spanning_model(rng, min_primes=7, max_primes=9, ranks=(1, 2, 3))
+            for _ in range(3)
+        ]
+        coprime = 0
+        for m in models:
+            members = enumerate_v(m)
+            for size, count in ((2, 12), (3, 6)):
+                for _ in range(count):
+                    tup = rng.sample(members, size)
+                    raw = product_coprime_raw(m, tup)
+                    assert raw == raw_coprime(members, tup), (m, tup)
+                    coprime += raw
+        assert coprime > 0
 
     def test_raw_can_disagree_with_supports_criterion(self):
         m = gen_d3(4)
@@ -364,3 +397,49 @@ class TestExtendIso:
         pairs = [(s, s) for s in enumerate_v(m)]
         with pytest.raises(PreconditionError, match="witness-rich"):
             extend_iso(m, m, pairs)
+
+    def test_swapped_images_match_the_all_pairs_oracle(self, spanning_population):
+        # phi is induced by a shuffled renaming of each model, then has the
+        # images of two random members swapped; d3 puts the one-prime circuit
+        # {R0} under test, since the union check runs before the witness-rich
+        # refusal
+        rng = fresh_rng(salt=62)
+        rich = [
+            m
+            for m in spanning_population
+            if len(m.ids()) <= 7 and validate(m).witness_rich
+        ]
+        models = rich[:20] + [
+            gen(k) for k in range(3, 8) for gen in (gen_d1, gen_d2, gen_d3)
+        ]
+        accepted = rejected = 0
+        for ma in models:
+            names = list(ma.ids())
+            rng.shuffle(names)
+            rename = dict(zip(ma.ids(), names))
+            mb = relabeled(ma, rename)
+            va = enumerate_v(ma)
+            circuits = [c for c in va if not any(d < c for d in va)]
+            for swapped in range(7):
+                phi = {s: frozenset(rename[p] for p in s) for s in va}
+                if swapped:
+                    a, b = rng.sample(va, 2)
+                    phi[a], phi[b] = phi[b], phi[a]
+                failures = union_failures(va, phi)
+                if not failures:
+                    try:
+                        extend_iso(ma, mb, phi)
+                    except PreconditionError:
+                        pass
+                    accepted += 1
+                    continue
+                x, c = next((x, y) for x, y in failures if y in circuits)
+                with pytest.raises(ValueError) as err:
+                    extend_iso(ma, mb, phi)
+                assert str(err.value) == (
+                    f"phi does not preserve products: breaks at "
+                    f"{sorted(x)} and {sorted(c)}"
+                )
+                rejected += 1
+        assert accepted >= len(models)
+        assert rejected > 100
