@@ -141,11 +141,12 @@ def extract_positive_basis(x: Generators, n: int) -> GeneratorSet:
 
 def principal_subsets(
     vecs: Sequence[Vector],
-) -> Iterator[tuple[tuple[int, ...], int, bool]]:
-    """Every nonempty subset of vecs as (indices, mask, principal), in
-    (size, sorted index) order; bit i of mask stands for vecs[i], and
+) -> Iterator[tuple[tuple[int, ...], int, bool, bool]]:
+    """Every nonempty subset of vecs as (indices, mask, principal, circuit),
+    in (size, sorted index) order; bit i of mask stands for vecs[i],
     principal says whether some strictly positive combination of the
-    subset's vectors vanishes.
+    subset's vectors vanishes, and circuit whether it is a positive circuit:
+    principal with no principal proper subset.
 
     The subsets of each size extend those one smaller (their prefixes) by a
     larger index.  The principal subsets are union-closed, so a subset
@@ -171,7 +172,7 @@ def principal_subsets(
                 below = inside[prefix_mask]
                 for j in prefix:
                     below |= inside[mask ^ 1 << j]
-                grown = None
+                grown = kernel = None
                 if below == mask:
                     principal = True
                 elif state is None:
@@ -181,7 +182,7 @@ def principal_subsets(
                     principal = kernel is not None
                 inside[mask] = mask if principal else below
                 indices = prefix + (i,)
-                yield indices, mask, principal
+                yield indices, mask, principal, kernel is not None
                 if i + 1 < count:
                     longer.append((indices, mask, grown))
         level = longer
@@ -246,7 +247,7 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
         raise PreconditionError("generators do not positively span their span")
     vecs = gens.vectors
     check_budget(len(vecs), "the chain search over the labels")
-    closed = {0} | {mask for _, mask, ok in principal_subsets(vecs) if ok}
+    closed = {0} | {mask for _, mask, ok, _ in principal_subsets(vecs) if ok}
     chain = longest_closed_chain(gens.labels, closed.__contains__)
     blocks = tuple(
         frozenset(cur - prev) for prev, cur in zip(chain, chain[1:])

@@ -12,6 +12,7 @@ most rank + 1 primes (rank = linear rank of the class vectors).  So
 `enumerate_v` is one pass of `cones.principal_subsets`, the sweep the weak
 Reay chain also runs: at most sum_{k <= rank + 1} C(n, k) exact elimination
 steps over n primes and no LP.  `v_membership` on a single support is the LP.
+The sweep also flags V's circuits, its minimal members (`v_circuits`).
 """
 
 from __future__ import annotations
@@ -122,35 +123,41 @@ def enumerate_v(m: Model) -> tuple[Support, ...]:
     One pass of `principal_subsets` over the class vectors, which settles
     each subset by union closure and an exact circuit test, with no LP.
     Each verdict is stored under `v_membership`'s cache key, unless one is
-    there already, and read back through it, one call per subset.
+    there already, and read back through it, one call per subset.  One more
+    key keeps V, its {support: mask} index and its circuits' masks.
     """
     ids = m.ids()
     check_budget(len(ids), "enumerating V over the primes")
-    got = m._cache.get("enumerate")
+    got = m._cache.get("V")
     if got is None:
-        members, masks = [], []
-        for combo, mask, principal in principal_subsets(m.vectors()):
+        index, circuits = {}, []
+        for combo, mask, principal, circuit in principal_subsets(m.vectors()):
             support = frozenset(ids[i] for i in combo)
             m._cache.setdefault(("member", support), principal)
             if v_membership(m, support):
-                members.append(support)
-                masks.append(mask)
-        got = tuple(members)
-        m._cache["enumerate"] = got
-        m._cache["masks"] = tuple(masks)
-    return got
+                index[support] = mask
+                if circuit:
+                    circuits.append(mask)
+        m._cache["V"] = got = (tuple(index), index, tuple(circuits))
+    return got[0]
 
 
 def support_mask(ids: Sequence[PrimeId], support: Collection[PrimeId]) -> int:
     """A support as an int mask over an id order: bit i stands for ids[i].
-    Over `m.ids()` this is the encoding of `v_masks(m)`."""
+    Over `m.ids()` this is the encoding of `v_index(m)`."""
     return sum(1 << i for i, pid in enumerate(ids) if pid in support)
 
 
-def v_masks(m: Model) -> tuple[int, ...]:
-    """`enumerate_v(m)` as support masks over `m.ids()`, in the same order."""
+def v_index(m: Model) -> dict[Support, int]:
+    """`enumerate_v(m)` as {support: mask over `m.ids()`}, in the same order."""
     enumerate_v(m)
-    return m._cache["masks"]
+    return m._cache["V"][1]
+
+
+def v_circuits(m: Model) -> tuple[int, ...]:
+    """V's minimal members (its circuits) as masks, in `enumerate_v` order."""
+    enumerate_v(m)
+    return m._cache["V"][2]
 
 
 def sort_supports(supports: Iterable[Support]) -> tuple[Support, ...]:

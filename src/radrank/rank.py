@@ -25,7 +25,7 @@ from .cones import (
     prune,
 )
 from .errors import PreconditionError, check_budget
-from .model import Model, PrimeId, Support, enumerate_v, support_mask, v_masks, v_membership
+from .model import Model, PrimeId, Support, enumerate_v, support_mask, v_circuits, v_membership
 from .ratlin import cone_member, linear_rank, vec_neg
 
 
@@ -126,13 +126,16 @@ def recover_rank(m: Model) -> int:
 
     Runs the inverse-basis greedy and the chain search with membership in V
     as the only primitive; the class vectors never enter.  The result is
-    |basis| - (longest self-inverse chain length).
+    |basis| - (longest self-inverse chain length).  Members are unions of
+    circuits, so the cover test reads only V's circuits; they are its
+    minimal members, a fact about the poset, so the route stays poset-only.
     """
     ids = m.ids()
-    by_prime = [[mask for mask in v_masks(m) if mask >> i & 1] for i in range(len(ids))]
+    circuits = v_circuits(m)
+    by_prime = [[c for c in circuits if c >> i & 1] for i in range(len(ids))]
     if not all(by_prime):
-        # Some prime lies in no member, i.e. its inverse is unreachable; this
-        # is the poset form of "not positively spanning".
+        # Some prime lies in no circuit, so in no member: its inverse is
+        # unreachable, the poset form of "not positively spanning".
         raise PreconditionError("class vectors do not positively span their span")
 
     def covers_all(mask: int) -> bool:

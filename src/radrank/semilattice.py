@@ -7,6 +7,8 @@ per call, nothing kept on the model), the support criterion just intersects.
 On witness-rich models the maximal product-proper subfamilies are exactly the
 per-prime stars nu(P), which is what lets an isomorphism of the families be
 transported back to a bijection of the primes: eta = theta . phi . nu.
+Both isomorphism routes read V's circuits, its minimal members, which the
+model keeps with V (`v_circuits`); V is their union closure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, StructureError
-from .model import Model, PrimeId, Support, enumerate_v, support_mask, v_masks, validate
+from .model import Model, PrimeId, Support, enumerate_v, v_circuits, v_index, validate
 
 Family = tuple[Support, ...]
 
@@ -31,15 +33,13 @@ def meet(x: Iterable[str], y: Iterable[str]) -> Support:
 
 def _principal_masks(m: Model, supports: Iterable[Iterable[str]]) -> list[int]:
     """The supports as masks over `m.ids()`, refusing any not a member of V."""
-    ids = m.ids()
-    members = set(v_masks(m))
+    index = v_index(m)
     masks = []
     for s in supports:
         sup = m.check_ids(s)
-        mask = support_mask(ids, sup)
-        if mask not in members:
+        if sup not in index:
             raise ValueError(f"support {sorted(sup)} is not principal in this model")
-        masks.append(mask)
+        masks.append(index[sup])
     return masks
 
 
@@ -61,7 +61,7 @@ def product_coprime_raw(m: Model, supports: Sequence[Iterable[str]]) -> bool:
     union = 0
     for a in masks:
         union |= a
-    members = v_masks(m)
+    members = v_index(m).values()
     tables = []
     for a in masks:
         need = union & ~a
@@ -99,7 +99,7 @@ def is_product_proper(m: Model, family: Iterable[Iterable[str]]) -> bool:
     Singleton families count as product-proper."""
     fam = {m.check_ids(s) for s in family}
     _principal_masks(m, fam)
-    if len(fam) >= len(v_masks(m)):
+    if len(fam) >= len(enumerate_v(m)):
         raise ValueError("a product-proper family must be a proper subfamily")
     return len(fam) <= 1 or not product_coprime_supports(fam)
 
@@ -148,8 +148,10 @@ def mprop(m: Model) -> tuple[Family, ...]:
 def find_iso(ma: Model, mb: Model) -> Optional[dict[PrimeId, PrimeId]]:
     """Search for a prime bijection sending V(ma) exactly onto V(mb).
 
-    Exhaustive backtracking over prime assignments, pruned by per-prime degree
-    signatures (member counts by size).  Candidates are tried in ascending id
+    A bijection does iff it maps circuits onto circuits.  Exhaustive
+    backtracking over prime assignments, pruned by per-prime circuit
+    signatures (circuit counts by size); each circuit of ma is checked when
+    its highest prime is assigned.  Candidates are tried in ascending id
     order, so the first hit is the lexicographically least bijection and the
     result is schedule-independent.  Returns None when no isomorphism exists.
     """
@@ -159,46 +161,37 @@ def find_iso(ma: Model, mb: Model) -> Optional[dict[PrimeId, PrimeId]]:
 
     def signatures(m: Model) -> list[tuple[int, ...]]:
         counts = [[0] * n for _ in range(n)]
-        for mask in v_masks(m):
-            size = mask.bit_count()
+        for c in v_circuits(m):
             for i in range(n):
-                if mask >> i & 1:
-                    counts[i][size - 1] += 1
+                counts[i][c.bit_count() - 1] += c >> i & 1
         return [tuple(c) for c in counts]
 
-    sig_a = signatures(ma)
-    sig_b = signatures(mb)
+    sig_a, sig_b = signatures(ma), signatures(mb)
+    # equal sorted signatures give equal circuit counts, so into means onto
     if sorted(sig_a) != sorted(sig_b):
         return None
-    va = set(v_masks(ma))
-    vb = set(v_masks(mb))
-
-    # The first `depth` primes of ma are assigned; images[s] is the image
-    # mask, over mb.ids(), of the subset s of them, so images[-1] holds every
-    # assigned image and images[1 << d] the image of prime d.
-    images = [0]
+    cb = set(v_circuits(mb))
+    # by_top[d]: the circuits of ma whose highest prime is d, as prime indices
+    by_top: list[list[list[int]]] = [[] for _ in range(n)]
+    for c in v_circuits(ma):
+        by_top[c.bit_length() - 1].append([i for i in range(n) if c >> i & 1])
+    image = [0] * n  # image[d]: the index in mb.ids() of prime d's image
 
     def search(depth: int) -> bool:
         if depth == n:
             return True
         for j in range(n):
-            if images[-1] >> j & 1 or sig_b[j] != sig_a[depth]:
+            if j in image[:depth] or sig_b[j] != sig_a[depth]:
                 continue
-            # grown[s] is the image of s plus prime `depth`, sent to bit j
-            grown = [x | 1 << j for x in images]
-            if all(((1 << depth | s) in va) == (y in vb) for s, y in enumerate(grown)):
-                images.extend(grown)
+            image[depth] = j
+            if all(sum(1 << image[i] for i in c) in cb for c in by_top[depth]):
                 if search(depth + 1):
                     return True
-                del images[1 << depth :]
         return False
 
     if not search(0):
         return None
-    return {
-        pid: mb.ids()[images[1 << d].bit_length() - 1]
-        for d, pid in enumerate(ma.ids())
-    }
+    return {pid: mb.ids()[image[d]] for d, pid in enumerate(ma.ids())}
 
 
 def extend_iso(
@@ -209,9 +202,9 @@ def extend_iso(
     """Transport a semilattice isomorphism phi: V(ma) -> V(mb) to the primes.
 
     phi is checked to be a union-preserving bijection of the two families.
-    V is the union closure of its circuits (its minimal members), so phi
-    preserves unions iff phi(x | c) = phi(x) | phi(c) for every member x and
-    circuit c; a failure names the least such pair in `enumerate_v` order.
+    V is the union closure of its circuits (`v_circuits`), so phi preserves
+    unions iff phi(x | c) = phi(x) | phi(c) for every member x and circuit
+    c; a failure names the least such pair in `enumerate_v` order.
     Each prime P goes to the unique prime common to the phi-images of the
     members through P; the returned flag records whether the induced prime map
     reproduces phi on every member.
@@ -229,12 +222,8 @@ def extend_iso(
         raise ValueError("phi must be defined on exactly the principal supports")
     if set(mapping.values()) != vb or len(set(mapping.values())) != len(mapping):
         raise ValueError("phi must map onto the codomain principal supports")
-    # a proper subset comes first in enumerate_v's order, so a member holding
-    # no circuit met before it is minimal
-    circuits: list[Support] = []
-    for x in va:
-        if not any(c <= x for c in circuits):
-            circuits.append(x)
+    by_mask = {mask: s for s, mask in v_index(ma).items()}
+    circuits = [by_mask[c] for c in v_circuits(ma)]
     for x in va:
         for c in circuits:
             if mapping[x | c] != mapping[x] | mapping[c]:

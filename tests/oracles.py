@@ -360,6 +360,63 @@ def union_failures(v_family, phi):
     return [(x, y) for x in fam for y in fam if phi[x | y] != phi[x] | phi[y]]
 
 
+def minimal_members(v_family):
+    """The minimal members of a family that lists every proper subset of a
+    member before it, as `enumerate_v` does, in the family's order: the
+    members holding no minimal member met before them."""
+    out = []
+    for x in map(frozenset, v_family):
+        if not any(c <= x for c in out):
+            out.append(x)
+    return out
+
+
+def iso_by_images(va, ids_a, vb, ids_b):
+    """`iso_by_permutations`' answer by backtracking over the whole family,
+    reaching a dozen primes.  The primes of ids_a are assigned in ascending
+    order, each to the least free prime of ids_b that passes; images[s] is
+    the image mask of the subset s of the assigned primes, and every grown
+    entry is tested against vb.  Candidates are pruned by per-prime member
+    counts by size, which any bijection carrying va onto vb keeps."""
+    ids_a, ids_b = sorted(ids_a), sorted(ids_b)
+    n = len(ids_a)
+    set_a = {sum(1 << ids_a.index(p) for p in s) for s in va}
+    set_b = {sum(1 << ids_b.index(p) for p in s) for s in vb}
+    if n != len(ids_b) or len(set_a) != len(set_b):
+        return None
+
+    def signatures(masks):
+        counts = [[0] * n for _ in range(n)]
+        for mask in masks:
+            for i in range(n):
+                if mask >> i & 1:
+                    counts[i][mask.bit_count() - 1] += 1
+        return [tuple(c) for c in counts]
+
+    sig_a, sig_b = signatures(set_a), signatures(set_b)
+    if sorted(sig_a) != sorted(sig_b):
+        return None
+    images = [0]
+
+    def search(depth):
+        if depth == n:
+            return True
+        for j in range(n):
+            if images[-1] >> j & 1 or sig_b[j] != sig_a[depth]:
+                continue
+            grown = [x | 1 << j for x in images]
+            if all(((1 << depth | s) in set_a) == (y in set_b) for s, y in enumerate(grown)):
+                images.extend(grown)
+                if search(depth + 1):
+                    return True
+                del images[1 << depth :]
+        return False
+
+    if not search(0):
+        return None
+    return {p: ids_b[images[1 << d].bit_length() - 1] for d, p in enumerate(ids_a)}
+
+
 def iso_by_permutations(va, ids_a, vb, ids_b):
     """The least bijection ids_a -> ids_b (images listed in ascending order of
     ids_a, compared as tuples) carrying the family va exactly onto vb, or

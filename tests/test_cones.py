@@ -417,31 +417,34 @@ class TestPrincipalSubsets:
             count = len(vecs)
             cols = integer_columns(vecs)
             got, tested = [], []
-            for indices, mask, principal in principal_subsets(vecs):
+            for indices, mask, principal, circuit in principal_subsets(vecs):
                 # the step, if any, runs just before its subset is yielded,
                 # on the prefix's state and the last index's column
                 assert len(calls) <= 1
                 if calls:
                     assert calls.pop() == (len(indices) - 1, cols[indices[-1]])
                     tested.append(mask)
-                got.append((indices, mask, principal))
-            assert [indices for indices, _, _ in got] == [
+                got.append((indices, mask, principal, circuit))
+            assert [indices for indices, _, _, _ in got] == [
                 combo
                 for size in range(1, count + 1)
                 for combo in combinations(range(count), size)
             ]
             family = set()
-            for indices, mask, principal in got:
+            for indices, mask, principal, circuit in got:
                 assert mask == sum(1 << i for i in indices)
                 want = strict_zero_combination([vecs[i] for i in indices])[0]
                 assert principal == want
+                # every proper subset came before, so `family` holds the
+                # principal ones
+                assert circuit == (want and not any(f & mask == f for f in family))
                 if want:
                     family.add(mask)
             # exactly the uncovered subsets with a linearly independent
             # prefix, which also keeps every tested subset within rank + 1
             most = echelon_rank_transposed(vecs) + 1
             want_tested = []
-            for indices, mask, _ in got:
+            for indices, mask, _, _ in got:
                 below = 0
                 for f in family:
                     if f & mask == f and f != mask:

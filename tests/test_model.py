@@ -12,7 +12,7 @@ from modelgen import (
     random_positive_scales,
     zero_model,
 )
-from oracles import int_exponent_zero, v_by_lp
+from oracles import int_exponent_zero, minimal_members, v_by_lp
 import radrank.cones
 import radrank.model
 import radrank.ratlin
@@ -36,6 +36,7 @@ from radrank import (
     v_membership,
     validate,
 )
+from radrank.model import v_circuits
 
 F = Fraction
 
@@ -187,11 +188,17 @@ def _degenerate_model(rng):
 
 
 class TestEnumerateVAgainstLP:
-    """enumerate_v's union closure against one LP per subset."""
+    """enumerate_v's union closure against one LP per subset, and the
+    circuits the sweep flags against V's minimal members."""
 
     def _check(self, m):
         verdicts = v_by_lp(m)
-        assert enumerate_v(m) == tuple(s for s, ok in verdicts.items() if ok)
+        members = enumerate_v(m)
+        assert members == tuple(s for s, ok in verdicts.items() if ok)
+        ids = m.ids()
+        assert v_circuits(m) == tuple(
+            sum(1 << ids.index(p) for p in c) for c in minimal_members(members)
+        )
         cached = {
             key[1]: ok
             for key, ok in m._cache.items()

@@ -12,8 +12,10 @@ from modelgen import (
     zero_model,
 )
 from oracles import (
+    iso_by_images,
     iso_by_permutations,
     maximal_product_proper,
+    minimal_members,
     product_proper_by_raw,
     raw_coprime,
     union_failures,
@@ -34,6 +36,7 @@ from radrank import (
     nu,
     product_coprime_raw,
     product_coprime_supports,
+    recover_rank,
     theta,
     validate,
 )
@@ -145,12 +148,18 @@ class TestProductCoprime:
         assert disagreements > 0
 
     def test_raw_keeps_no_state_on_the_model(self):
-        m = gen_d1(8)
+        # nor do the isomorphism and rank routes, which read V's circuits
+        m, other = gen_d1(8), gen_d2(8)
         enumerate_v(m)  # V itself is cached by the model
-        before = list(m._cache)
+        enumerate_v(other)
+        before = list(m._cache), list(other._cache)
         assert product_coprime_raw(m, [{"P0", "P1"}, {"P2", "P3"}])
         assert not product_coprime_raw(m, [{"P0", "P1"}, {"P0", "P3"}])
-        assert list(m._cache) == before
+        eta = find_iso(m, other)
+        phi = {s: frozenset(eta[p] for p in s) for s in enumerate_v(m)}
+        assert extend_iso(m, other, phi) == (eta, True)
+        assert recover_rank(m) == recover_rank(other) == 1
+        assert (list(m._cache), list(other._cache)) == before
 
     def test_raw_matches_definition_past_six_primes(self):
         rng = fresh_rng(salt=44)
@@ -342,6 +351,34 @@ class TestFindIso:
             found += want is not None
         assert 40 < found < len(pairs)
 
+    def test_matches_image_table_oracle_past_six_primes(self):
+        # the d-families against each other, then random models of rank 1-4,
+        # each against a shuffled relabelling and an unrelated model of the
+        # same number of primes
+        rng = fresh_rng(salt=45)
+        models = {
+            (gen, k): gen(k) for gen in (gen_d1, gen_d2, gen_d3) for k in range(7, 13)
+        }
+        pairs = [
+            (models[fam_a, k], models[fam_b, k])
+            for k in range(7, 13)
+            for fam_a in (gen_d1, gen_d2, gen_d3)
+            for fam_b in (gen_d1, gen_d2, gen_d3)
+        ]
+        for _ in range(60):
+            m = random_model(rng, 7, 12, ranks=(1, 2, 3, 4))
+            n = len(m.ids())
+            names = [f"q{i:02d}" for i in range(n)]
+            rng.shuffle(names)
+            pairs.append((m, relabeled(m, dict(zip(m.ids(), names)))))
+            pairs.append((m, random_model(rng, n, n, ranks=(1, 2, 3, 4))))
+        found = 0
+        for ma, mb in pairs:
+            want = iso_by_images(enumerate_v(ma), ma.ids(), enumerate_v(mb), mb.ids())
+            assert find_iso(ma, mb) == want, (ma, mb)
+            found += want is not None
+        assert 80 < found < len(pairs)
+
 
 class TestExtendIso:
     @staticmethod
@@ -419,7 +456,7 @@ class TestExtendIso:
             rename = dict(zip(ma.ids(), names))
             mb = relabeled(ma, rename)
             va = enumerate_v(ma)
-            circuits = [c for c in va if not any(d < c for d in va)]
+            circuits = minimal_members(va)
             for swapped in range(7):
                 phi = {s: frozenset(rename[p] for p in s) for s in va}
                 if swapped:
