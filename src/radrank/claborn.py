@@ -100,33 +100,25 @@ def d3_relations(k: int) -> RelationSet:
     return _adjacent_relations(k, 1, anchored=True)
 
 
+def _rank_one(prefix: str, k: int, cls) -> Model:
+    """Rank-one class data: prime n of k is named from `prefix` and has the
+    class cls(n)."""
+    _check_length(k)
+    pairs = ((prime_name(prefix, n, k), (Fraction(cls(n)),)) for n in range(k))
+    return Model(1, tuple(pairs))
+
+
 def gen_d1(k: int) -> Model:
     """Alternating unit classes: rank 1, no principal singleton."""
-    _check_length(k)
-    pairs = [
-        (prime_name("P", n, k), (Fraction(-1 if n % 2 else 1),))
-        for n in range(k)
-    ]
-    return Model(1, tuple(pairs))
+    return _rank_one("P", k, lambda n: (-1) ** n)
 
 
 def gen_d2(k: int) -> Model:
     """Alternating halved classes (-1)^n / 2^n: same support poset as gen_d1."""
-    _check_length(k)
-    pairs = [
-        (prime_name("Q", n, k), (Fraction((-1) ** n, 2**n),))
-        for n in range(k)
-    ]
-    return Model(1, tuple(pairs))
+    return _rank_one("Q", k, lambda n: Fraction((-1) ** n, 2**n))
 
 
 def gen_d3(k: int) -> Model:
     """One torsion prime (class zero) plus alternating units: the zero class
     makes {R0} principal, which gen_d1 never has."""
-    _check_length(k)
-    pairs = [(prime_name("R", 0, k), (Fraction(0),))]
-    pairs.extend(
-        (prime_name("R", n, k), (Fraction(-1 if n % 2 == 0 else 1),))
-        for n in range(1, k)
-    )
-    return Model(1, tuple(pairs))
+    return _rank_one("R", k, lambda n: -((-1) ** n) if n else 0)

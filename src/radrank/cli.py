@@ -5,7 +5,7 @@ either short text or (with --json) a Report object carrying the command, an
 input digest, and the results.  Output is byte-deterministic for fixed
 inputs; wall-clock timing is therefore opt-in via --timing.  Exit status: 0
 for a computed result, 1 for a negative verdict on a decision command, 2 for
-usage, format, or precondition problems.
+usage, format, or precondition problems and for an output pipe closed early.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -23,7 +24,8 @@ from . import claborn, rank as rank_ops, semilattice
 from .cones import GeneratorSet, max_weak_reay
 from .errors import ModelFormatError
 from .model import (
-    Model, dumps_model, enumerate_v, loads_model, model_to_dict, v_membership, validate
+    Model, dumps_model, enumerate_v, loads_json, loads_model, model_to_dict,
+    read_text, v_membership, validate,
 )
 from .ratlin import parse_vector
 
@@ -36,35 +38,18 @@ def _digest(parts: Sequence[str]) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _read(path: str, where: str) -> str:
-    """The text of a UTF-8 file; an undecodable byte is located at `where`."""
+def _read_json(path: str, where: str, parse=loads_json) -> tuple[object, str]:
+    """`parse` of an input file's text, and the text; a format error is
+    labelled with `where`."""
     try:
-        with open(path, "rb") as handle:
-            return handle.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{where}: not UTF-8 at byte {exc.start}") from None
-
-
-def _read_json(path: str, what: str) -> tuple[str, object]:
-    """The text of a JSON input file and its parsed document; an error
-    names `what` and, for a parse error, the line and column."""
-    text = _read(path, f"{what} file")
-    try:
-        return text, json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{what} file: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    except RecursionError:
-        raise ValueError(f"{what} file: JSON nested too deeply") from None
+        text = read_text(path)
+        return parse(text), text
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{where}: {exc}") from None
 
 
 def _load(path: str) -> tuple[Model, str]:
-    text = _read(path, path)
-    try:
-        return loads_model(text), text
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+    return _read_json(path, path, loads_model)
 
 
 def _support_text(support) -> str:
@@ -233,7 +218,7 @@ def _cmd_iso(ns) -> tuple[int, dict, list[str], list[str]]:
 def _cmd_extend_iso(ns) -> tuple[int, dict, list[str], list[str]]:
     ma, text_a = _load(ns.model_a)
     mb, text_b = _load(ns.model_b)
-    phi_text, doc = _read_json(ns.phi, "phi")
+    doc, phi_text = _read_json(ns.phi, "phi file")
     if not isinstance(doc, list):
         raise ValueError("phi file must be a JSON array of support pairs")
     pairs = []
@@ -276,7 +261,7 @@ def _cmd_gen(ns) -> tuple[int, dict, list[str], list[str]]:
 
 
 def _cmd_reay(ns) -> tuple[int, dict, list[str], list[str]]:
-    text, doc = _read_json(ns.vectors, "vectors")
+    doc, text = _read_json(ns.vectors, "vectors file")
     if isinstance(doc, dict):
         vectors = doc.get("vectors")
         labels = doc.get("labels")
@@ -394,20 +379,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if ns.json:
-        report = {
-            "command": ns.command,
-            "inputs": {"digest": _digest(digest_parts)},
-            "results": results,
-        }
-        if ns.timing:
-            report["timing_ms"] = round(elapsed_ms, 3)
-        print(_json_text(report))
-    else:
-        for line in lines:
-            print(line)
-        if ns.timing:
-            print(f"timing_ms: {elapsed_ms:.3f}", file=sys.stderr)
+    try:
+        if ns.json:
+            report = {
+                "command": ns.command,
+                "inputs": {"digest": _digest(digest_parts)},
+                "results": results,
+            }
+            if ns.timing:
+                report["timing_ms"] = round(elapsed_ms, 3)
+            print(_json_text(report))
+        else:
+            for line in lines:
+                print(line)
+            if ns.timing:
+                print(f"timing_ms: {elapsed_ms:.3f}", file=sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return code
 
 

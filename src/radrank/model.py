@@ -18,6 +18,7 @@ The sweep also flags V's circuits, its minimal members (`v_circuits`).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
@@ -266,21 +267,47 @@ def dumps_model(m: Model) -> str:
     return json.dumps(model_to_dict(m), indent=2) + "\n"
 
 
-def loads_model(text: str) -> Model:
+# Each escape of a parsed JSON text, a surrogate pair as one; group 1 is half
+# a pair.  JSON has backslashes only in strings, so the scan tokenizes exactly.
+_ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..)|.)")
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; an undecodable byte is a ModelFormatError."""
     try:
-        data = json.loads(text)
+        with open(path, "rb") as handle:
+            return handle.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"not UTF-8 at byte {exc.start}") from None
+
+
+def loads_json(text: str) -> object:
+    """The JSON document of `text`, read for every input file.  A syntax
+    error, too deep nesting, any other fault of `json.loads` (a number past
+    the int digit limit) and a string holding half a surrogate pair, which
+    cannot be written as UTF-8, are each a ModelFormatError."""
+    try:
+        doc = json.loads(text)
+        lone = "\\u" in text and next((m for m in _ESCAPE.finditer(text) if m[1]), None)
+        if lone:
+            raise json.JSONDecodeError(f"lone surrogate \\{lone[1]}", text, lone.start())
+        return doc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
     except RecursionError:
         raise ModelFormatError("JSON nested too deeply") from None
-    return model_from_dict(data)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
+
+
+def loads_model(text: str) -> Model:
+    return model_from_dict(loads_json(text))
 
 
 def load_model(path: str) -> Model:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_model(handle.read())
+    return loads_model(read_text(path))
 
 
 def save_model(m: Model, path: str) -> None:

@@ -155,8 +155,7 @@ def recover_rank(m: Model) -> int:
     # subsets of delta are the empty set and the members inside delta, as
     # masks over delta_ids for the chain search.
     delta_ids = [pid for i, pid in enumerate(ids) if delta >> i & 1]
-    closed = {0} | {
-        support_mask(delta_ids, s) for s in enumerate_v(m) if s.issubset(delta_ids)
-    }
+    inside = frozenset(delta_ids)
+    closed = {0} | {support_mask(delta_ids, s) for s in enumerate_v(m) if s <= inside}
     chain_sets = longest_closed_chain(delta_ids, closed.__contains__)
     return len(delta_ids) - (len(chain_sets) - 1)

@@ -87,10 +87,7 @@ def product_coprime_supports(supports: Sequence[Iterable[str]]) -> bool:
     sups = [frozenset(s) for s in supports]
     if len(sups) < 2:
         raise ValueError("coprimality concerns tuples of at least two supports")
-    common = sups[0]
-    for s in sups[1:]:
-        common &= s
-    return not common
+    return not frozenset.intersection(*sups)
 
 
 def is_product_proper(m: Model, family: Iterable[Iterable[str]]) -> bool:
@@ -115,9 +112,7 @@ def theta(m: Model, family: Iterable[Iterable[str]]) -> PrimeId:
     fam = [m.check_ids(s) for s in family]
     if not fam:
         raise ValueError("theta needs a nonempty family")
-    common = fam[0]
-    for s in fam[1:]:
-        common &= s
+    common = frozenset.intersection(*fam)
     if len(common) != 1:
         raise StructureError(
             f"family has common prime set {sorted(common)}; "

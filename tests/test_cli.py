@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from modelgen import zero_model
-from radrank import gen_d1, gen_d3, loads_model, save_model
+from radrank import gen_d1, gen_d2, gen_d3, loads_model, save_model
 from radrank.cli import _json_text, build_parser, main
 
 
@@ -24,6 +24,13 @@ def d3_file(tmp_path):
     path = tmp_path / "d3.json"
     save_model(gen_d3(4), str(path))
     return str(path)
+
+
+# json.loads reads a number with int(), which refuses this many digits.
+DIGIT_LIMIT = (
+    "Exceeds the limit (4300 digits) for integer string conversion: "
+    "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"
+)
 
 
 def run(capsys, *argv):
@@ -358,8 +365,10 @@ class TestErrorsAndDiagnostics:
         [
             (b'{"ambient_rank": 1, "primes": \xff}', "not UTF-8 at byte 30"),
             (b"[" * 100000, "JSON nested too deeply"),
+            (b"[" + b"1" * 5000 + b"]", DIGIT_LIMIT),
+            (b'["\\ud800"]', "line 1 column 3: lone surrogate \\ud800"),
         ],
-        ids=["undecodable", "too-deep"],
+        ids=["undecodable", "too-deep", "digit-limit", "lone-surrogate"],
     )
     @pytest.mark.parametrize("kind", ["model", "phi", "vectors"])
     def test_unreadable_input_is_located(self, capsys, tmp_path, d1_file, data, fault, kind):
@@ -370,10 +379,11 @@ class TestErrorsAndDiagnostics:
             "phi": (["extend-iso", d1_file, d1_file, str(path)], "phi file"),
             "vectors": (["reay", str(path)], "vectors file"),
         }[kind]
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {where}: {fault}\n"
+        for mode in ([], ["--json"]):
+            code, out, err = run(capsys, *argv, *mode)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {where}: {fault}\n"
 
 
 class TestReports:
@@ -537,3 +547,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "rank = 0"
+
+    def test_closed_output_pipe_exits_2_without_a_traceback(self, tmp_path):
+        target = tmp_path / "d2.json"
+        save_model(gen_d2(12), str(target))
+        # 682,044 bytes of text, far past a 64 KiB pipe buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "radrank.cli", "mprop", str(target)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+        assert b"Traceback" not in err

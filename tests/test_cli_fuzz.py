@@ -24,7 +24,13 @@ from radrank.cli import main
 
 ROUNDS = 100
 
-ATOMS = [None, True, False, 0, -1, 3, 2**70, 1.5, "", "x", "0", "-3/4", "1/0", "P0", [], {}]
+# BIG stands for a 5,000-digit number, past the digits int() will read: json
+# cannot write such an int, so `damaged_text` splices it in as text.
+BIG = "<5000 digits>"
+ATOMS = [
+    None, True, False, 0, -1, 3, 2**70, 1.5, "", "x", "0", "-3/4", "1/0", "P0",
+    "\ud800", BIG, [], {},
+]
 
 
 def mutate(rng, doc):
@@ -62,7 +68,7 @@ def damaged_text(rng, doc):
     text as well."""
     for _ in range(rng.choice([0, 0, 0, 1, 1, 2, 3])):
         doc = mutate(rng, doc)
-    text = json.dumps(doc)
+    text = json.dumps(doc).replace(json.dumps(BIG), "7" * 5000)
     roll = rng.random()
     if roll < 0.05:
         text = text[: rng.randrange(len(text) + 1)]

@@ -36,7 +36,7 @@ from radrank import (
     v_membership,
     validate,
 )
-from radrank.model import v_circuits
+from radrank.model import loads_json, v_circuits
 
 F = Fraction
 
@@ -387,6 +387,35 @@ class TestSerialization:
         with pytest.raises(ModelFormatError) as err:
             loads_model('{"ambient_rank": 1,\n  "primes": [}')
         assert "line 2" in str(err.value)
+
+    def test_undecodable_file_names_the_byte(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"ambient_rank": 1, "primes": \xff}')
+        with pytest.raises(ModelFormatError, match="^not UTF-8 at byte 30$"):
+            load_model(str(path))
+
+    def test_number_past_the_digit_limit_is_a_format_error(self):
+        with pytest.raises(ModelFormatError, match="4300 digits"):
+            loads_model('{"ambient_rank": ' + "1" * 5000 + ', "primes": []}')
+
+    @pytest.mark.parametrize(
+        "text,column",
+        [
+            (r'["\ud83d\ude00", "\uD83D\uDE00"]', None),
+            (r'["\\ud800"]', None),
+            (r'["\\\ud800"]', 5),
+            (r'["\udc00"]', 3),
+            (r'["\ud800\u0041"]', 3),
+            (r'["\ud800", "\udc00"]', 3),
+            (r'{"a": 1, "\uDBFF": 2}', 11),
+        ],
+    )
+    def test_lone_surrogates_are_located(self, text, column):
+        if column is None:
+            loads_json(text)
+        else:
+            with pytest.raises(ModelFormatError, match=f"^line 1 column {column}: lone"):
+                loads_json(text)
 
     def test_deep_nesting_is_a_format_error(self):
         with pytest.raises(ModelFormatError, match="^JSON nested too deeply$"):
