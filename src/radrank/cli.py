@@ -63,8 +63,43 @@ def _parse_support(text: str) -> list[str]:
     return ids
 
 
-def _family_json(family) -> list[list[str]]:
-    return [sorted(s) for s in family]
+def _put_json(value: object, indent: str, out: list[str], leaves: dict) -> None:
+    """Append the text of `value` at `indent` to `out`.  `leaves` keeps the
+    text of each list of strings by (id, indent).  Not a closure: one that
+    calls itself is a reference cycle, which keeps each report's pieces
+    alive until the cycle collector runs."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+        return
+    if not value or not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))
+        return
+    if (text := leaves.get((id(value), indent))) is not None:
+        out.append(text)
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        out.append("{\n" + inner)
+        for n, (key, item) in enumerate(value.items()):
+            out.append((sep if n else "") + encode_basestring_ascii(key) + ": ")
+            _put_json(item, inner, out, leaves)
+        out.append("\n" + indent + "}")
+        return
+    try:
+        text = leaves[id(value), indent] = (
+            "[\n" + inner + sep.join(map(encode_basestring_ascii, value))
+            + "\n" + indent + "]"
+        )
+    except TypeError:  # an item is not a string
+        out.append("[\n" + inner)
+        for n, item in enumerate(value):
+            if n:
+                out.append(sep)
+            _put_json(item, inner, out, leaves)
+        out.append("\n" + indent + "]")
+        return
+    out.append(text)
 
 
 def _json_text(value: object) -> str:
@@ -72,38 +107,11 @@ def _json_text(value: object) -> str:
     strings and scalars.  json runs its pure-Python encoder whenever `indent`
     is set; here strings go through its C `encode_basestring_ascii`, and the
     pieces are joined once at the end, as json does, with no large
-    intermediate strings."""
+    intermediate strings.  A list of strings is one C-level join, and its
+    text is kept per (object, indent): every object stays alive and
+    unchanged for the call, so a list met again is encoded once."""
     out: list[str] = []
-
-    def put(value: object, indent: str) -> None:
-        if isinstance(value, str):
-            out.append(encode_basestring_ascii(value))
-            return
-        if not value or not isinstance(value, (dict, list, tuple)):
-            out.append(json.dumps(value))
-            return
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if isinstance(value, dict):
-            out.append("{\n" + inner)
-            for n, (key, item) in enumerate(value.items()):
-                out.append((sep if n else "") + encode_basestring_ascii(key) + ": ")
-                put(item, inner)
-            out.append("\n" + indent + "}")
-        elif all(type(item) is str for item in value):
-            out.append(
-                "[\n" + inner + sep.join(map(encode_basestring_ascii, value))
-                + "\n" + indent + "]"
-            )
-        else:
-            out.append("[\n" + inner)
-            for n, item in enumerate(value):
-                if n:
-                    out.append(sep)
-                put(item, inner)
-            out.append("\n" + indent + "]")
-
-    put(value, "")
+    _put_json(value, "", out, {})
     return "".join(out)
 
 
@@ -145,7 +153,7 @@ def _cmd_v_member(ns) -> tuple[int, dict, list[str], list[str]]:
 def _cmd_enumerate_v(ns) -> tuple[int, dict, Iterable[str], list[str]]:
     m, text = _load(ns.model)
     members = enumerate_v(m)
-    results = {"members": _family_json(members), "count": len(members)}
+    results = {"members": [sorted(s) for s in members], "count": len(members)}
     lines = (_support_text(s) for s in results["members"])
     return 0, results, lines, ["enumerate-v", text]
 
@@ -170,9 +178,11 @@ def _cmd_coprime(ns) -> tuple[int, dict, list[str], list[str]]:
 def _cmd_mprop(ns) -> tuple[int, dict, Iterable[str], list[str]]:
     m, text = _load(ns.model)
     families = [(semilattice.theta(m, f), f) for f in semilattice.mprop(m)]
+    # one sorted id list per member of V, shared by every star through it
+    ids = {s: sorted(s) for s in enumerate_v(m)}
     results = {
         "families": [
-            {"prime": prime, "members": _family_json(family)}
+            {"prime": prime, "members": [ids[s] for s in family]}
             for prime, family in families
         ]
     }

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
@@ -270,6 +271,9 @@ def dumps_model(m: Model) -> str:
 # Each escape of a parsed JSON text, a surrogate pair as one; group 1 is half
 # a pair.  JSON has backslashes only in strings, so the scan tokenizes exactly.
 _ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..)|.)")
+# A string or a number of a JSON text; an int has digits (group 1) alone.
+# Compiled on first use, by the one error path that needs it.
+_LITERAL = r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?'
 
 
 def read_text(path: str) -> str:
@@ -281,11 +285,15 @@ def read_text(path: str) -> str:
         raise ModelFormatError(f"not UTF-8 at byte {exc.start}") from None
 
 
+def _located(exc: json.JSONDecodeError) -> ModelFormatError:
+    return ModelFormatError(f"line {exc.lineno} column {exc.colno}: {exc.msg}")
+
+
 def loads_json(text: str) -> object:
     """The JSON document of `text`, read for every input file.  A syntax
-    error, too deep nesting, any other fault of `json.loads` (a number past
-    the int digit limit) and a string holding half a surrogate pair, which
-    cannot be written as UTF-8, are each a ModelFormatError."""
+    error, too deep nesting, an int past the digit limit and a string holding
+    half a surrogate pair, which cannot be written as UTF-8, are each a
+    ModelFormatError."""
     try:
         doc = json.loads(text)
         lone = "\\u" in text and next((m for m in _ESCAPE.finditer(text) if m[1]), None)
@@ -293,13 +301,20 @@ def loads_json(text: str) -> object:
             raise json.JSONDecodeError(f"lone surrogate \\{lone[1]}", text, lone.start())
         return doc
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            f"line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+        raise _located(exc) from None
     except RecursionError:
         raise ModelFormatError("JSON nested too deeply") from None
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
+    except ValueError:
+        # an int past the digit limit, which json.loads does not locate
+        limit = sys.get_int_max_str_digits()
+        big = next(
+            m for m in re.finditer(_LITERAL, text)
+            if m[1] and not (m[2] or m[3]) and len(m[1]) > limit
+        )
+        raise _located(json.JSONDecodeError(
+            f"integer of {len(big[1])} digits exceeds the {limit}-digit limit",
+            text, big.start(),
+        )) from None
 
 
 def loads_model(text: str) -> Model:

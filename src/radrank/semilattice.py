@@ -109,9 +109,10 @@ def nu(m: Model, pid: PrimeId) -> Family:
 
 def theta(m: Model, family: Iterable[Iterable[str]]) -> PrimeId:
     """The prime common to every member of a maximal product-proper family."""
-    fam = [m.check_ids(s) for s in family]
+    fam = [frozenset(s) for s in family]
     if not fam:
         raise ValueError("theta needs a nonempty family")
+    m.check_ids(frozenset.union(*fam))
     common = frozenset.intersection(*fam)
     if len(common) != 1:
         raise StructureError(

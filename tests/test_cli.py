@@ -7,9 +7,11 @@ import sys
 
 import pytest
 
-from modelgen import zero_model
-from radrank import gen_d1, gen_d2, gen_d3, loads_model, save_model
-from radrank.cli import _json_text, build_parser, main
+from modelgen import fresh_rng, random_model, zero_model
+from radrank import (
+    enumerate_v, gen_d1, gen_d2, gen_d3, loads_model, save_model, validate,
+)
+from radrank.cli import _digest, _json_text, build_parser, main
 
 
 @pytest.fixture
@@ -27,10 +29,7 @@ def d3_file(tmp_path):
 
 
 # json.loads reads a number with int(), which refuses this many digits.
-DIGIT_LIMIT = (
-    "Exceeds the limit (4300 digits) for integer string conversion: "
-    "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"
-)
+DIGIT_LIMIT = "line 1 column 2: integer of 5000 digits exceeds the 4300-digit limit"
 
 
 def run(capsys, *argv):
@@ -420,10 +419,26 @@ class TestReports:
         assert first.read_bytes() == second.read_bytes()
 
 
+class Sub(str):
+    pass
+
+
+# one list object placed many times, as the stars of an mprop report share
+# each member's list
+SHARED = ["P0", "P1"]
+
+
+def witness_rich_random():
+    rng = fresh_rng(salt=91)
+    models = (random_model(rng, 11, 11, ranks=(2,)) for _ in range(50))
+    return next(m for m in models if validate(m).witness_rich)
+
+
 class TestReportWriter:
     """`--json` reports carry the bytes of `json.dumps(report, indent=2)`."""
 
     ODD_IDS = ['q"uote', "back\\slash", "ctl\x01\t\n", "caf\u00e9", "snow\u2603", "\U0001f600"]
+    ATOMS = [*ODD_IDS, "", "P0", Sub("sub"), None, True, False, 0, -3, 2.5, 10**30]
 
     @pytest.mark.parametrize(
         "value",
@@ -443,10 +458,45 @@ class TestReportWriter:
             [[], {}, [[1, [None, [True]]]], {"a": {"b": []}}],
             {"ids": ODD_IDS, ODD_IDS[0]: {ODD_IDS[2]: [ODD_IDS[3], -1]}},
             ("tuple", ["inside"]),
+            [SHARED, SHARED, SHARED],
+            {"a": SHARED, "b": [SHARED, [SHARED, {"c": SHARED}]]},
+            ["a", 1],
+            ["a", ["b"]],
+            [["a"], "b"],
+            Sub("top"),
+            [Sub("x"), "y", Sub('q"')],
+            {"k": Sub("v")},
+            ("a", "b"),
+            [("a", "b"), ["a", "b"], ("a", ("b",))],
         ],
     )
     def test_synthetic_values(self, value):
         assert _json_text(value) == json.dumps(value, indent=2)
+
+    def test_random_values_with_shared_parts(self):
+        rng = fresh_rng(salt=80)
+
+        def value(depth, made):
+            roll = rng.random()
+            if made and roll < 0.25:
+                return rng.choice(made)
+            if depth > 4 or roll < 0.4:
+                return rng.choice(self.ATOMS)
+            size = rng.randrange(5)
+            if roll < 0.6:
+                item = [rng.choice(self.ATOMS[:9]) for _ in range(size)]
+            elif roll < 0.85:
+                item = [value(depth + 1, made) for _ in range(size)]
+            else:
+                item = {rng.choice(self.ODD_IDS): value(depth + 1, made) for _ in range(size)}
+            if isinstance(item, list) and rng.random() < 0.2:
+                item = tuple(item)
+            made.append(item)
+            return item
+
+        for _ in range(200):
+            doc = value(0, [])
+            assert _json_text(doc) == json.dumps(doc, indent=2)
 
     def test_every_subcommand_report(self, capsys, tmp_path, d1_file, d3_file):
         from radrank import enumerate_v, gen_d2
@@ -490,6 +540,35 @@ class TestReportWriter:
             "validate", "v-member", "enumerate-v", "coprime", "mprop", "inv",
             "rank", "iso", "extend-iso", "gen", "reay",
         }
+
+    @pytest.mark.parametrize(
+        "command,model",
+        [
+            ("mprop", gen_d2(12)),
+            ("mprop", witness_rich_random()),
+            ("enumerate-v", gen_d1(12)),
+        ],
+        ids=["mprop-d2-12", "mprop-random-11", "enumerate-v-d1-12"],
+    )
+    def test_v_sized_reports(self, capsys, tmp_path, command, model):
+        path = tmp_path / "m.json"
+        save_model(model, str(path))
+        members = enumerate_v(loads_model(path.read_text()))
+        if command == "mprop":
+            results = {"families": [
+                {"prime": p, "members": [sorted(s) for s in members if p in s]}
+                for p in model.ids()
+            ]}
+        else:
+            results = {"members": [sorted(s) for s in members], "count": len(members)}
+        report = {
+            "command": command,
+            "inputs": {"digest": _digest([command, path.read_text()])},
+            "results": results,
+        }
+        code, out, _ = run(capsys, command, "--json", str(path))
+        assert code == 0
+        assert out == json.dumps(report, indent=2) + "\n"
 
 
 class TestOneParserPerProcess:

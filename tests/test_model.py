@@ -1,5 +1,6 @@
 """Class-data models: membership, enumeration, validation, serialization."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -394,9 +395,25 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="^not UTF-8 at byte 30$"):
             load_model(str(path))
 
-    def test_number_past_the_digit_limit_is_a_format_error(self):
-        with pytest.raises(ModelFormatError, match="4300 digits"):
-            loads_model('{"ambient_rank": ' + "1" * 5000 + ', "primes": []}')
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ('{"ambient_rank": ' + "1" * 5000 + ', "primes": []}', "line 1 column 18"),
+            # digit runs in strings, fractions and exponents are no ints
+            (
+                '{"s": "' + "2" * 5000 + '",\n "f": [-' + "3" * 5000 + ".5, 1e"
+                + "4" * 5000 + ", -" + "1" * 5000 + "]}",
+                "line 2 column 10017",
+            ),
+        ],
+    )
+    def test_number_past_the_digit_limit_is_located(self, text, where):
+        with pytest.raises(ModelFormatError) as err:
+            loads_model(text)
+        assert str(err.value) == (
+            f"{where}: integer of 5000 digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit limit"
+        )
 
     @pytest.mark.parametrize(
         "text,column",

@@ -243,6 +243,11 @@ class TestStars:
         with pytest.raises(ValueError):
             theta(gen_d1(4), [])
 
+    def test_theta_names_every_unknown_id(self):
+        with pytest.raises(ValueError) as err:
+            theta(gen_d1(4), [{"P0", "P9"}, {"P0", "Q", "P7"}, {"P0", "P1"}])
+        assert str(err.value) == "unknown prime ids: ['P7', 'P9', 'Q']"
+
 
 class TestMaximalFamilies:
     def test_alternating_four(self):
