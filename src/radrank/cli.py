@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import claborn, rank as rank_ops, semilattice
 from .cones import GeneratorSet, max_weak_reay
@@ -186,11 +186,15 @@ def _cmd_mprop(ns) -> tuple[int, dict, Iterable[str], list[str]]:
             for prime, family in families
         ]
     }
-    lines = (
-        f"{fam['prime']}: " + " ".join(_support_text(s) for s in fam["members"])
-        for fam in results["families"]
-    )
-    return 0, results, lines, ["mprop", text]
+    return 0, results, _mprop_lines(families, ids), ["mprop", text]
+
+
+def _mprop_lines(families, ids) -> Iterator[str]:
+    """The text of `mprop`, one line per star.  Each member's `{...}` is
+    built once, from its sorted ids, and shared by the stars through it."""
+    texts = {s: "{" + ",".join(sorted_ids) + "}" for s, sorted_ids in ids.items()}
+    for prime, family in families:
+        yield f"{prime}: " + " ".join(map(texts.__getitem__, family))
 
 
 def _cmd_inv(ns) -> tuple[int, dict, list[str], list[str]]:

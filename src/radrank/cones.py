@@ -4,11 +4,11 @@ A finite set S positively spans its linear span iff -(sum of S) lies in the
 nonnegative hull of S, iff some strictly positive combination of S vanishes
 (Gordan's alternative); the per-generator form is kept only as a test oracle.
 The sets that positively span their span form a union-closed family, and each
-member is a union of positive circuits.  An uncovered member is itself a
-circuit, so `principal_subsets` settles all 2^n subsets with no LP and no
-rank pre-pass: it carries an integer elimination down from each subset's
-prefix and takes one `circuit_step` on each uncovered subset whose prefix is
-linearly independent; `enumerate_v` and the weak Reay chain both run it.
+member is a union of positive circuits.  A circuit's prefix is linearly
+independent, so `principal_table` finds the circuits with no LP and no rank
+pre-pass, one `circuit_step` per independent prefix and larger index, and
+settles all 2^n subsets by one subset-union pass over a table of the
+circuits inside each; `enumerate_v` and the weak Reay chain both read it.
 Partitions are represented by their chains of prefix unions.  The closed sets
 are graded, so the maximum-cardinality search walks up least covers; its 2^n
 predicate calls cap the practical size at a dozen generators.
@@ -17,12 +17,13 @@ predicate calls cap the practical size at a dozen generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from operator import or_
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DimensionError, PreconditionError, check_budget
 from .ratlin import (
-    EliminationState, Vector, circuit_step, cone_member, elimination_state,
-    integer_columns, linear_rank, vec,
+    Vector, circuit_step, cone_member, elimination_state, integer_columns,
+    linear_rank, vec,
 )
 
 
@@ -139,53 +140,56 @@ def extract_positive_basis(x: Generators, n: int) -> GeneratorSet:
     return prune(gens.subset(kept), n)
 
 
-def principal_subsets(
-    vecs: Sequence[Vector],
-) -> Iterator[tuple[tuple[int, ...], int, bool, bool]]:
-    """Every nonempty subset of vecs as (indices, mask, principal, circuit),
-    in (size, sorted index) order; bit i of mask stands for vecs[i],
-    principal says whether some strictly positive combination of the
-    subset's vectors vanishes, and circuit whether it is a positive circuit:
-    principal with no principal proper subset.
+def principal_table(vecs: Sequence[Vector]) -> tuple[list[int], tuple[int, ...]]:
+    """(inside, circuits) for the subsets of vecs, as int masks whose bit i
+    stands for vecs[i].
 
-    The subsets of each size extend those one smaller (their prefixes) by a
-    larger index.  The principal subsets are union-closed, so a subset
-    covered by the ones below it (`inside[mask]`, their union) is principal.
-    Any other is principal iff it is a positive circuit, which needs its
-    prefix linearly independent: only then does `circuit_step` run, one
-    elimination step on the integer columns, carried down from the prefix
-    with no LP.  Independent prefixes have at most rank vectors, so the tests
-    stop at rank + 1 vectors with no rank pre-pass.
+    `circuits` are the positive circuits, the minimal subsets some strictly
+    positive combination of which vanishes, in (size, sorted index) order.
+    `inside[mask]` is the union of the circuits within mask: the principal
+    subsets are the unions of circuits, so a mask is principal iff
+    `inside[mask] == mask != 0`.
+
+    A circuit's prefix (all but its largest index) is linearly independent,
+    so one breadth-first walk over the independent prefixes finds them all:
+    one `circuit_step` per (independent prefix, larger index), carried down
+    from the prefix's integer elimination with no LP.  Independent prefixes
+    have at most rank vectors, so that is at most sum_{k <= rank} C(n, k + 1)
+    steps.  `inside` is then one subset-union pass per index over the 2^n
+    table.
     """
     count = len(vecs)
     cols = integer_columns(vecs)
-    inside = [0] * (1 << count)
-    # (indices, mask, elimination state, or None once linearly dependent)
-    level: list[tuple[tuple[int, ...], int, Optional[EliminationState]]] = [
-        ((), 0, elimination_state(len(cols[0]) if cols else 0))
-    ]
+    circuits = []
+    # (mask, largest index, elimination state) of each independent prefix
+    level = [(0, -1, elimination_state(len(cols[0]) if cols else 0))]
     while level:
         longer = []
-        for prefix, prefix_mask, state in level:
-            for i in range(prefix[-1] + 1 if prefix else 0, count):
-                mask = prefix_mask | 1 << i
-                below = inside[prefix_mask]
-                for j in prefix:
-                    below |= inside[mask ^ 1 << j]
-                grown = kernel = None
-                if below == mask:
-                    principal = True
-                elif state is None:
-                    principal = False
-                else:
-                    grown, kernel = circuit_step(state, cols[i])
-                    principal = kernel is not None
-                inside[mask] = mask if principal else below
-                indices = prefix + (i,)
-                yield indices, mask, principal, kernel is not None
-                if i + 1 < count:
-                    longer.append((indices, mask, grown))
+        for prefix, last, state in level:
+            for i in range(last + 1, count):
+                grown, kernel = circuit_step(state, cols[i])
+                if kernel is not None:
+                    circuits.append(prefix | 1 << i)
+                elif grown is not None and i + 1 < count:
+                    longer.append((prefix | 1 << i, i, grown))
         level = longer
+    size = 1 << count
+    inside = [0] * size
+    for c in circuits:
+        inside[c] = c
+    for i in range(count):
+        # inside[mask] |= inside[mask without i] for each mask holding i,
+        # over whichever slices are fewer: strided by offset or contiguous
+        low, step = 1 << i, 2 << i
+        if low <= size // step:
+            for o in range(low):
+                high = slice(o + low, size, step)
+                inside[high] = map(or_, inside[high], inside[o::step])
+        else:
+            for o in range(0, size, step):
+                high = slice(o + low, o + step)
+                inside[high] = map(or_, inside[high], inside[o:o + low])
+    return inside, tuple(circuits)
 
 
 def longest_closed_chain(
@@ -237,7 +241,7 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
     otherwise no such partition exists at all.
 
     The closed sets are the empty set and the principal subsets, settled by
-    `principal_subsets` with at most sum_{k <= rank + 1} C(n, k) circuit
+    `principal_table` with at most sum_{k <= rank} C(n, k + 1) circuit
     steps; the only LP is the spanning precondition.
     """
     gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(x)
@@ -247,8 +251,8 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
         raise PreconditionError("generators do not positively span their span")
     vecs = gens.vectors
     check_budget(len(vecs), "the chain search over the labels")
-    closed = {0} | {mask for _, mask, ok, _ in principal_subsets(vecs) if ok}
-    chain = longest_closed_chain(gens.labels, closed.__contains__)
+    inside, _ = principal_table(vecs)
+    chain = longest_closed_chain(gens.labels, lambda mask: inside[mask] == mask)
     blocks = tuple(
         frozenset(cur - prev) for prev, cur in zip(chain, chain[1:])
     )

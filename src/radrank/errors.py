@@ -9,10 +9,10 @@ class ResourceLimitError(RuntimeError):
     """An exhaustive search was refused for exceeding WORK_BUDGET."""
 
 
-# Most primes or generators an exhaustive subset search (2^n subsets given a
-# verdict by union closure, of which at most sum_{k <= rank + 1} C(n, k) need
-# the exact circuit test; 2^n chain predicate calls) may run over; beyond it
-# the search is refused, not left to run.
+# Most primes or generators an exhaustive subset search (at most
+# sum_{k <= rank} C(n, k + 1) exact circuit steps, then a 2^n table given
+# its verdicts by n * 2^(n-1) unions; 2^n chain predicate calls) may run
+# over; beyond it the search is refused, not left to run.
 WORK_BUDGET = 12
 
 

@@ -9,10 +9,11 @@ decided exactly, and every answer is cached on the model, which is immutable.
 V is closed under unions, and each member is a union of positive circuits:
 the supports of the extreme rays of {lambda >= 0 : A lambda = 0}, each of at
 most rank + 1 primes (rank = linear rank of the class vectors).  So
-`enumerate_v` is one pass of `cones.principal_subsets`, the sweep the weak
-Reay chain also runs: at most sum_{k <= rank + 1} C(n, k) exact elimination
-steps over n primes and no LP.  `v_membership` on a single support is the LP.
-The sweep also flags V's circuits, its minimal members (`v_circuits`).
+`enumerate_v` reads one `cones.principal_table`, the table the weak Reay
+chain also reads: at most sum_{k <= rank} C(n, k + 1) exact elimination
+steps find the circuits over n primes, V's minimal members (`v_circuits`),
+and a subset-union pass over the 2^n subsets settles the rest, with no LP.
+`v_membership` on a single support is the LP.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ModelFormatError, check_budget
@@ -34,7 +36,7 @@ from .ratlin import (
     strict_zero_combination,
     vec,
 )
-from .cones import positively_spans_its_span, principal_subsets
+from .cones import positively_spans_its_span, principal_table
 
 PrimeId = str
 Support = frozenset[str]
@@ -107,13 +109,15 @@ class ValidationReport:
 
 def v_membership(m: Model, support: Iterable[PrimeId]) -> bool:
     """Is the support principal, i.e. does a strictly positive combination of
-    its class vectors vanish?"""
-    s = m.check_ids(support)
-    if not s:
-        raise ValueError("a support must contain at least one prime")
+    its class vectors vanish?  Only checked, nonempty supports are cached,
+    so a cached verdict needs no check."""
+    s = frozenset(support)
     key = ("member", s)
     got = m._cache.get(key)
     if got is None:
+        m.check_ids(s)
+        if not s:
+            raise ValueError("a support must contain at least one prime")
         ok, _ = strict_zero_combination([m.vector(p) for p in sorted(s)])
         m._cache[key] = got = ok
     return got
@@ -122,25 +126,29 @@ def v_membership(m: Model, support: Iterable[PrimeId]) -> bool:
 def enumerate_v(m: Model) -> tuple[Support, ...]:
     """All principal supports, ordered by (size, sorted ids).
 
-    One pass of `principal_subsets` over the class vectors, which settles
-    each subset by union closure and an exact circuit test, with no LP.
-    Each verdict is stored under `v_membership`'s cache key, unless one is
-    there already, and read back through it, one call per subset.  One more
-    key keeps V, its {support: mask} index and its circuits' masks.
+    One `principal_table` over the class vectors, which finds the circuits
+    by exact elimination steps and settles each subset by the union of the
+    circuits within it, with no LP.  Each verdict is stored under
+    `v_membership`'s cache key, unless one is there already, and read back
+    through it, one call per subset.  One more key keeps V, its
+    {support: mask} index and its circuits' masks.
     """
     ids = m.ids()
     check_budget(len(ids), "enumerating V over the primes")
     got = m._cache.get("V")
     if got is None:
-        index, circuits = {}, []
-        for combo, mask, principal, circuit in principal_subsets(m.vectors()):
-            support = frozenset(ids[i] for i in combo)
-            m._cache.setdefault(("member", support), principal)
-            if v_membership(m, support):
-                index[support] = mask
-                if circuit:
-                    circuits.append(mask)
-        m._cache["V"] = got = (tuple(index), index, tuple(circuits))
+        inside, circuits = principal_table(m.vectors())
+        bits = [1 << i for i in range(len(ids))]
+        index = {}
+        for size in range(1, len(ids) + 1):
+            for support, mask in zip(
+                map(frozenset, combinations(ids, size)),
+                map(sum, combinations(bits, size)),
+            ):
+                m._cache.setdefault(("member", support), inside[mask] == mask)
+                if v_membership(m, support):
+                    index[support] = mask
+        m._cache["V"] = got = (tuple(index), index, circuits)
     return got[0]
 
 

@@ -8,8 +8,8 @@ nonnegative-combination (cone) membership, strictly positive zero
 combinations, rank, and a Smith normal form that returns its unimodular
 transforms.  The LP-free positive circuit test is one fraction-free
 elimination step on integer columns, `circuit_step`, that extends the state
-of an independent prefix, so a sweep over subsets carries it down instead of
-eliminating each subset afresh.
+of an independent prefix, so a walk over independent prefixes carries it
+down instead of eliminating each subset afresh.
 """
 
 from __future__ import annotations

@@ -171,22 +171,24 @@ def find_iso(ma: Model, mb: Model) -> Optional[dict[PrimeId, PrimeId]]:
     by_top: list[list[list[int]]] = [[] for _ in range(n)]
     for c in v_circuits(ma):
         by_top[c.bit_length() - 1].append([i for i in range(n) if c >> i & 1])
-    image = [0] * n  # image[d]: the index in mb.ids() of prime d's image
-
-    def search(depth: int) -> bool:
-        if depth == n:
-            return True
-        for j in range(n):
-            if j in image[:depth] or sig_b[j] != sig_a[depth]:
-                continue
-            image[depth] = j
+    # image[d]: the index in mb.ids() of prime d's image.  A loop, not a
+    # closure calling itself: that would be a reference cycle per call.
+    image: list[int] = []
+    j = 0  # the next candidate image for prime len(image)
+    while len(image) < n:
+        depth = len(image)
+        if j == n:
+            if not image:
+                return None
+            j = image.pop() + 1
+            continue
+        if j not in image and sig_b[j] == sig_a[depth]:
+            image.append(j)
             if all(sum(1 << image[i] for i in c) in cb for c in by_top[depth]):
-                if search(depth + 1):
-                    return True
-        return False
-
-    if not search(0):
-        return None
+                j = 0
+                continue
+            image.pop()
+        j += 1
     return {pid: mb.ids()[image[d]] for d, pid in enumerate(ma.ids())}
 
 

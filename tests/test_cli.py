@@ -1,5 +1,6 @@
 """Command line front end: text output, JSON reports, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from modelgen import fresh_rng, random_model, zero_model
 from radrank import (
-    enumerate_v, gen_d1, gen_d2, gen_d3, loads_model, save_model, validate,
+    enumerate_v, gen_d1, gen_d2, gen_d3, loads_model, nu, save_model, validate,
 )
 from radrank.cli import _digest, _json_text, build_parser, main
 
@@ -36,6 +37,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def witness_rich_random():
+    rng = fresh_rng(salt=91)
+    models = (random_model(rng, 11, 11, ranks=(2,)) for _ in range(50))
+    return next(m for m in models if validate(m).witness_rich)
 
 
 class TestGen:
@@ -142,6 +149,29 @@ class TestFamilies:
         lines = out.splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("P0: {P0,P1} {P0,P3}")
+
+    # sha256 of each model's `mprop` text, so that a faster way to write it
+    # must still print the same bytes
+    @pytest.mark.parametrize(
+        "model,digest",
+        [
+            (gen_d1(12), "714a25d81d4717910bf2fa249c999e8ae8fba013c49232dbfd34f2f0b7f2fb72"),
+            (gen_d2(12), "8c83da2a3beb57c33e0ba4d9a0ab081eeff04c1fce77179e895ab81ab45723b8"),
+            (witness_rich_random(), "5b8e0adbe02adab04116475d0b673fd58e9626438e44bc9eaaa51ba8ffbcd361"),
+        ],
+        ids=["d1-12", "d2-12", "random-11"],
+    )
+    def test_text_bytes(self, capsys, tmp_path, model, digest):
+        path = tmp_path / "m.json"
+        save_model(model, str(path))
+        code, out, _ = run(capsys, "mprop", str(path))
+        assert code == 0
+        want = "".join(
+            f"{p}: " + " ".join("{" + ",".join(sorted(s)) + "}" for s in nu(model, p)) + "\n"
+            for p in model.ids()
+        )
+        assert out == want
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_refusal(self, capsys, d3_file):
         code, out, err = run(capsys, "mprop", d3_file)
@@ -426,12 +456,6 @@ class Sub(str):
 # one list object placed many times, as the stars of an mprop report share
 # each member's list
 SHARED = ["P0", "P1"]
-
-
-def witness_rich_random():
-    rng = fresh_rng(salt=91)
-    models = (random_model(rng, 11, 11, ranks=(2,)) for _ in range(50))
-    return next(m for m in models if validate(m).witness_rich)
 
 
 class TestReportWriter:

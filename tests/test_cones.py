@@ -25,7 +25,7 @@ from radrank import (
     max_weak_reay,
 )
 from radrank.cones import (
-    longest_closed_chain, positively_spans_its_span, principal_subsets
+    longest_closed_chain, positively_spans_its_span, principal_table
 )
 from radrank.ratlin import integer_columns, strict_zero_combination
 
@@ -386,9 +386,9 @@ class TestMaxWeakReayLPCount:
         assert circuits == [] and sweep_lps == []
 
 
-class TestPrincipalSubsets:
-    """The shared sweep against one LP per subset, with every circuit test
-    accounted for."""
+class TestPrincipalTable:
+    """The circuit walk and the subset-union table against one LP per
+    subset, with every circuit step accounted for."""
 
     SETS = [v for v in _reay_population(fresh_rng(salt=29), 400) if len(v) <= 8]
 
@@ -401,7 +401,7 @@ class TestPrincipalSubsets:
             any(tuple(-x for x in u) in v for u in v if any(u)) for v in self.SETS
         ) >= 50
 
-    def test_matches_one_lp_per_subset_and_tests_only_uncovered_circuits(
+    def test_matches_one_lp_per_subset_and_steps_once_per_independent_prefix(
         self, monkeypatch
     ):
         calls = []
@@ -412,50 +412,53 @@ class TestPrincipalSubsets:
             return real_step(state, column)
 
         monkeypatch.setattr(radrank.cones, "circuit_step", counted_step)
-        tested_total = 0
+        steps = 0
         for vecs in self.SETS:
             count = len(vecs)
             cols = integer_columns(vecs)
-            got, tested = [], []
-            for indices, mask, principal, circuit in principal_subsets(vecs):
-                # the step, if any, runs just before its subset is yielded,
-                # on the prefix's state and the last index's column
-                assert len(calls) <= 1
-                if calls:
-                    assert calls.pop() == (len(indices) - 1, cols[indices[-1]])
-                    tested.append(mask)
-                got.append((indices, mask, principal, circuit))
-            assert [indices for indices, _, _, _ in got] == [
+            del calls[:]
+            inside, circuits = principal_table(vecs)
+            assert len(inside) == 1 << count
+            # in (size, sorted index) order, as `enumerate_v` lists V
+            combos = [
                 combo
                 for size in range(1, count + 1)
                 for combo in combinations(range(count), size)
             ]
-            family = set()
-            for indices, mask, principal, circuit in got:
-                assert mask == sum(1 << i for i in indices)
-                want = strict_zero_combination([vecs[i] for i in indices])[0]
-                assert principal == want
-                # every proper subset came before, so `family` holds the
-                # principal ones
-                assert circuit == (want and not any(f & mask == f for f in family))
+            family = []  # the LP-principal masks, in that order
+            for combo in combos:
+                mask = sum(1 << i for i in combo)
+                want = strict_zero_combination([vecs[i] for i in combo])[0]
+                assert (inside[mask] == mask) == want
                 if want:
-                    family.add(mask)
-            # exactly the uncovered subsets with a linearly independent
-            # prefix, which also keeps every tested subset within rank + 1
-            most = echelon_rank_transposed(vecs) + 1
-            want_tested = []
-            for indices, mask, _, _ in got:
-                below = 0
+                    family.append(mask)
+            assert inside[0] == 0
+            minimal = [
+                f for f in family if not any(g & f == g != f for g in family)
+            ]
+            assert circuits == tuple(minimal)
+            for mask in range(1 << count):
+                union = 0
                 for f in family:
-                    if f & mask == f and f != mask:
-                        below |= f
-                prefix = [vecs[i] for i in indices[:-1]]
-                if below != mask and echelon_rank_transposed(prefix) == len(prefix):
-                    assert len(indices) <= most
-                    want_tested.append(mask)
-            assert tested == want_tested
-            tested_total += len(tested)
-        assert tested_total >= 4_000
+                    if f & mask == f:
+                        union |= f
+                assert inside[mask] == union
+            # one step per (linearly independent prefix, larger index), the
+            # prefixes by size and then in sorted index order
+            prefixes = [()] + [
+                combo for combo in combos
+                if echelon_rank_transposed([vecs[i] for i in combo]) == len(combo)
+            ]
+            want_calls = [
+                (len(prefix), cols[i])
+                for prefix in prefixes
+                for i in range(prefix[-1] + 1 if prefix else 0, count)
+            ]
+            assert calls == want_calls
+            most = echelon_rank_transposed(vecs)
+            assert all(len(prefix) <= most for prefix in prefixes)
+            steps += len(calls)
+        assert steps >= 4_000
 
 
 class TestLongestClosedChain:

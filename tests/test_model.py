@@ -100,6 +100,40 @@ class TestVMembership:
         with pytest.raises(ValueError):
             v_membership(gen_d1(4), set())
 
+    def test_refusals_and_cached_verdicts_around_enumeration(self, monkeypatch):
+        # the cache is read before the checks, so it must never hold a
+        # verdict for unknown ids or an empty support; a cached verdict,
+        # whichever call stored it, comes back with no LP
+        lps = []
+        real_szc = radrank.model.strict_zero_combination
+
+        def counted_szc(gens):
+            lps.append(len(gens))
+            return real_szc(gens)
+
+        monkeypatch.setattr(radrank.model, "strict_zero_combination", counted_szc)
+        m = gen_d1(6)
+
+        def refusals():
+            for bad in ({"P9"}, ["P0", "P9"], iter(["P9"])):
+                with pytest.raises(ValueError, match="unknown prime ids"):
+                    v_membership(m, bad)
+            for empty in (set(), [], frozenset(), iter(())):
+                with pytest.raises(ValueError, match="at least one prime"):
+                    v_membership(m, empty)
+
+        refusals()
+        assert lps == []
+        assert v_membership(m, ["P1", "P0"]) and lps == [2]
+        assert v_membership(m, iter(["P0", "P1"])) and lps == [2]
+        members = set(enumerate_v(m))
+        assert lps == [2]
+        refusals()
+        for size in range(1, 7):
+            for combo in combinations(m.ids(), size):
+                assert v_membership(m, reversed(combo)) == (frozenset(combo) in members)
+        assert lps == [2]
+
     def test_agrees_with_integer_exponent_search(self):
         # denominator-free classes, few primes: direct bounded search over
         # integer exponent vectors must give the same verdicts

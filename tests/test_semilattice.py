@@ -1,5 +1,6 @@
 """Semilattice structure, coprimality, maximal families, isomorphisms."""
 
+import gc
 from itertools import combinations
 
 import pytest
@@ -383,6 +384,23 @@ class TestFindIso:
             assert find_iso(ma, mb) == want, (ma, mb)
             found += want is not None
         assert 80 < found < len(pairs)
+
+    def test_leaves_no_reference_cycle(self):
+        # the backtrack must not be a closure that calls itself: each call
+        # would leave a cycle for the cycle collector
+        m = gen_d1(8)
+        names = [f"q{i}" for i in range(8)]
+        fresh_rng(salt=46).shuffle(names)
+        other = relabeled(m, dict(zip(m.ids(), names)))
+        gc.collect()
+        gc.disable()
+        try:
+            eta = find_iso(m, other)
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert eta is not None
+        assert freed == 0
 
 
 class TestExtendIso:
