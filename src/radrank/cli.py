@@ -17,7 +17,9 @@ import json
 import os
 import sys
 import time
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import claborn, rank as rank_ops, semilattice
@@ -63,19 +65,16 @@ def _parse_support(text: str) -> list[str]:
     return ids
 
 
-def _put_json(value: object, indent: str, out: list[str], leaves: dict) -> None:
-    """Append the text of `value` at `indent` to `out`.  `leaves` keeps the
-    text of each list of strings by (id, indent).  Not a closure: one that
-    calls itself is a reference cycle, which keeps each report's pieces
-    alive until the cycle collector runs."""
+def _put_json(value: object, indent: str, out: list[str], memo: dict) -> None:
+    """Append the text of `value` at `indent` to `out`.  `memo[indent]` keeps
+    {id: text} of each list of strings written at that indent.  Not a
+    closure: one that calls itself is a reference cycle, which keeps each
+    report's pieces alive until the cycle collector runs."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
         return
     if not value or not isinstance(value, (dict, list, tuple)):
         out.append(json.dumps(value))
-        return
-    if (text := leaves.get((id(value), indent))) is not None:
-        out.append(text)
         return
     inner = indent + "  "
     sep = ",\n" + inner
@@ -83,23 +82,58 @@ def _put_json(value: object, indent: str, out: list[str], leaves: dict) -> None:
         out.append("{\n" + inner)
         for n, (key, item) in enumerate(value.items()):
             out.append((sep if n else "") + encode_basestring_ascii(key) + ": ")
-            _put_json(item, inner, out, leaves)
+            _put_json(item, inner, out, memo)
         out.append("\n" + indent + "}")
         return
-    try:
-        text = leaves[id(value), indent] = (
-            "[\n" + inner + sep.join(map(encode_basestring_ascii, value))
-            + "\n" + indent + "]"
-        )
-    except TypeError:  # an item is not a string
-        out.append("[\n" + inner)
-        for n, item in enumerate(value):
+    known = memo.setdefault(indent, {})
+    text = known.get(id(value))
+    if text is None:
+        try:
+            text = known[id(value)] = (
+                "[\n" + inner + sep.join(map(encode_basestring_ascii, value))
+                + "\n" + indent + "]"
+            )
+        except TypeError:  # an item is not a string
+            _put_items(value, indent, out, memo)
+            return
+    out.append(text)
+
+
+def _put_items(value, indent: str, out: list[str], memo: dict) -> None:
+    """Append the text of a list that holds a non-string item.  Its items
+    already written at the inner indent are looked up in one C-level pass,
+    and only the others are visited: a nonempty list of strings is encoded
+    in place and kept.  When every item then has its text, the texts go to
+    `out` in one C-level pass too, with no joined copy; otherwise the items
+    without one go through `_put_json`."""
+    inner = indent + "  "
+    known = memo.setdefault(inner, {})
+    texts = list(map(known.get, map(id, value)))
+    # the text of a list of strings at the inner indent, as `_put_json` has it
+    deeper = inner + "  "
+    head, join, tail = "[\n" + deeper, (",\n" + deeper).join, "\n" + inner + "]"
+    for i in compress(range(len(texts)), map(is_, texts, repeat(None))):
+        item = value[i]
+        if item and isinstance(item, (list, tuple)):
+            try:
+                texts[i] = known[id(item)] = (
+                    head + join(map(encode_basestring_ascii, item)) + tail
+                )
+            except TypeError:  # an item of the item is not a string
+                pass
+    sep = ",\n" + inner
+    out.append("[\n" + inner)
+    if None in texts:
+        for n, (item, text) in enumerate(zip(value, texts)):
             if n:
                 out.append(sep)
-            _put_json(item, inner, out, leaves)
-        out.append("\n" + indent + "]")
-        return
-    out.append(text)
+            if text is None:
+                _put_json(item, inner, out, memo)
+            else:
+                out.append(text)
+    else:  # the texts and separators, in one C-level pass
+        out += islice(chain.from_iterable(zip(repeat(sep), texts)), 1, None)
+    out.append("\n" + indent + "]")
 
 
 def _json_text(value: object) -> str:
@@ -108,8 +142,9 @@ def _json_text(value: object) -> str:
     is set; here strings go through its C `encode_basestring_ascii`, and the
     pieces are joined once at the end, as json does, with no large
     intermediate strings.  A list of strings is one C-level join, and its
-    text is kept per (object, indent): every object stays alive and
-    unchanged for the call, so a list met again is encoded once."""
+    text is kept per (indent, object): every object stays alive and
+    unchanged for the call, so a list met again is encoded once.  A list of
+    lists looks its items up in that memo in one C-level pass."""
     out: list[str] = []
     _put_json(value, "", out, {})
     return "".join(out)

@@ -4,7 +4,8 @@ A model assigns each prime label a rational class vector in Q^r.  A nonempty
 set of primes is a *principal support* when some strictly positive rational
 combination of its class vectors vanishes; the family V of all principal
 supports is the finite poset everything downstream works on.  Membership is
-decided exactly, and every answer is cached on the model, which is immutable.
+decided exactly, and V, once enumerated, is kept on the model, which is
+immutable.
 
 V is closed under unions, and each member is a union of positive circuits:
 the supports of the extreme rays of {lambda >= 0 : A lambda = 0}, each of at
@@ -109,18 +110,27 @@ class ValidationReport:
 
 def v_membership(m: Model, support: Iterable[PrimeId]) -> bool:
     """Is the support principal, i.e. does a strictly positive combination of
-    its class vectors vanish?  Only checked, nonempty supports are cached,
-    so a cached verdict needs no check."""
+    its class vectors vanish?
+
+    Once V is known (`enumerate_v`), a member answers True from V's index
+    and any other checked, nonempty support False, with no LP and nothing
+    cached.  Before that, each support is one LP, and its verdict is cached
+    under ("member", support)."""
     s = frozenset(support)
+    got = m._cache.get("V")
+    if got is not None and s in got[1]:
+        return True
+    m.check_ids(s)
+    if not s:
+        raise ValueError("a support must contain at least one prime")
+    if got is not None:
+        return False
     key = ("member", s)
-    got = m._cache.get(key)
-    if got is None:
-        m.check_ids(s)
-        if not s:
-            raise ValueError("a support must contain at least one prime")
+    ok = m._cache.get(key)
+    if ok is None:
         ok, _ = strict_zero_combination([m.vector(p) for p in sorted(s)])
-        m._cache[key] = got = ok
-    return got
+        m._cache[key] = ok
+    return ok
 
 
 def enumerate_v(m: Model) -> tuple[Support, ...]:
@@ -128,10 +138,12 @@ def enumerate_v(m: Model) -> tuple[Support, ...]:
 
     One `principal_table` over the class vectors, which finds the circuits
     by exact elimination steps and settles each subset by the union of the
-    circuits within it, with no LP.  Each verdict is stored under
-    `v_membership`'s cache key, unless one is there already, and read back
-    through it, one call per subset.  One more key keeps V, its
-    {support: mask} index and its circuits' masks.
+    circuits within it, with no LP.  One pass over the subsets, as
+    (frozenset, mask) pairs, enters each member into V's {support: mask}
+    index and then asks `v_membership` about the subset, one call per
+    subset, which the index answers.  One key keeps V, that index and the
+    circuits' masks; it is set while the pass runs and dropped if the pass
+    raises, so no partial V stays on the model.
     """
     ids = m.ids()
     check_budget(len(ids), "enumerating V over the primes")
@@ -139,15 +151,20 @@ def enumerate_v(m: Model) -> tuple[Support, ...]:
     if got is None:
         inside, circuits = principal_table(m.vectors())
         bits = [1 << i for i in range(len(ids))]
-        index = {}
-        for size in range(1, len(ids) + 1):
-            for support, mask in zip(
-                map(frozenset, combinations(ids, size)),
-                map(sum, combinations(bits, size)),
-            ):
-                m._cache.setdefault(("member", support), inside[mask] == mask)
-                if v_membership(m, support):
-                    index[support] = mask
+        index: dict[Support, int] = {}
+        m._cache["V"] = ((), index, circuits)
+        try:
+            for size in range(1, len(ids) + 1):
+                for support, mask in zip(
+                    map(frozenset, combinations(ids, size)),
+                    map(sum, combinations(bits, size)),
+                ):
+                    if inside[mask] == mask:
+                        index[support] = mask
+                    v_membership(m, support)
+        except BaseException:
+            del m._cache["V"]
+            raise
         m._cache["V"] = got = (tuple(index), index, circuits)
     return got[0]
 

@@ -13,6 +13,7 @@ model keeps with V (`v_circuits`); V is their union closure.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, StructureError
@@ -102,9 +103,12 @@ def is_product_proper(m: Model, family: Iterable[Iterable[str]]) -> bool:
 
 
 def nu(m: Model, pid: PrimeId) -> Family:
-    """All members of V containing the given prime."""
+    """All members of V containing the given prime, in `enumerate_v` order:
+    the index's masks filtered by the prime's bit."""
     (pid,) = m.check_ids([pid])
-    return tuple(s for s in enumerate_v(m) if pid in s)
+    bit = 1 << m.ids().index(pid)
+    index = v_index(m)
+    return tuple(compress(index, map(bit.__and__, index.values())))
 
 
 def theta(m: Model, family: Iterable[Iterable[str]]) -> PrimeId:

@@ -456,6 +456,10 @@ class Sub(str):
 # one list object placed many times, as the stars of an mprop report share
 # each member's list
 SHARED = ["P0", "P1"]
+# lists met first inside a list of lists, then again at the same indent or
+# at another one
+TWICE = ["Q0", Sub("Q1")]
+ONCE_EACH = ["R0"]
 
 
 class TestReportWriter:
@@ -492,6 +496,11 @@ class TestReportWriter:
             {"k": Sub("v")},
             ("a", "b"),
             [("a", "b"), ["a", "b"], ("a", ("b",))],
+            [TWICE, ["z"], TWICE],
+            {"a": {"x": TWICE}, "b": [TWICE, TWICE]},
+            [ONCE_EACH, [ONCE_EACH, [ONCE_EACH]], {"c": ONCE_EACH}],
+            [["a", 1], ["a", ["b"]], [], ("t", "u"), [Sub("s"), "x"], [Sub("y")], ["a", []]],
+            [[1, "a"], [[], "b"], [("c",), "d"], [Sub("e")]],
         ],
     )
     def test_synthetic_values(self, value):

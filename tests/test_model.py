@@ -101,9 +101,9 @@ class TestVMembership:
             v_membership(gen_d1(4), set())
 
     def test_refusals_and_cached_verdicts_around_enumeration(self, monkeypatch):
-        # the cache is read before the checks, so it must never hold a
-        # verdict for unknown ids or an empty support; a cached verdict,
-        # whichever call stored it, comes back with no LP
+        # unknown ids and an empty support are refused before and after V is
+        # known; a verdict cached by an LP, or one V's index gives, comes
+        # back with no LP
         lps = []
         real_szc = radrank.model.strict_zero_combination
 
@@ -188,6 +188,28 @@ class TestEnumerateV:
                 for b in members:
                     assert a | b in family
 
+    def test_a_failed_pass_leaves_no_partial_v(self, monkeypatch):
+        # v_membership answers from V's index while the pass fills it, so a
+        # partial index left behind would call later members non-members
+        m = gen_d1(8)
+        calls = []
+        real_membership = radrank.model.v_membership
+
+        def failing(model, support):
+            calls.append(support)
+            if len(calls) == 100:
+                raise RuntimeError("injected failure")
+            return real_membership(model, support)
+
+        monkeypatch.setattr(radrank.model, "v_membership", failing)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            enumerate_v(m)
+        assert len(calls) == 100
+        assert "V" not in m._cache
+        monkeypatch.undo()
+        verdicts = v_by_lp(m)
+        assert enumerate_v(m) == tuple(s for s, ok in verdicts.items() if ok)
+
     def test_full_family_iff_all_classes_zero(self):
         rng = fresh_rng(salt=32)
         for _ in range(15):
@@ -224,9 +246,22 @@ def _degenerate_model(rng):
 
 class TestEnumerateVAgainstLP:
     """enumerate_v's union closure against one LP per subset, and the
-    circuits the sweep flags against V's minimal members."""
+    circuits the sweep flags against V's minimal members.  Once V is known,
+    v_membership answers every subset from it, with no LP."""
 
-    def _check(self, m):
+    @pytest.fixture
+    def lps(self, monkeypatch):
+        lps = []
+        real_szc = radrank.model.strict_zero_combination
+
+        def counted_szc(gens):
+            lps.append(len(gens))
+            return real_szc(gens)
+
+        monkeypatch.setattr(radrank.model, "strict_zero_combination", counted_szc)
+        return lps
+
+    def _check(self, m, lps):
         verdicts = v_by_lp(m)
         members = enumerate_v(m)
         assert members == tuple(s for s, ok in verdicts.items() if ok)
@@ -234,25 +269,25 @@ class TestEnumerateVAgainstLP:
         assert v_circuits(m) == tuple(
             sum(1 << ids.index(p) for p in c) for c in minimal_members(members)
         )
-        cached = {
-            key[1]: ok
-            for key, ok in m._cache.items()
-            if isinstance(key, tuple) and key[0] == "member"
-        }
-        assert cached == verdicts
+        for s, ok in verdicts.items():
+            assert v_membership(m, s) == ok
+        assert not any(
+            isinstance(key, tuple) and key[0] == "member" for key in m._cache
+        )
+        assert lps == []
 
-    def test_d_families(self):
+    def test_d_families(self, lps):
         # the generators need at least two primes; one prime is covered below
         for gen in (gen_d1, gen_d2, gen_d3):
             for k in range(2, 13):
-                self._check(gen(k))
+                self._check(gen(k), lps)
 
-    def test_random_models(self):
+    def test_random_models(self, lps):
         rng = fresh_rng(salt=33)
         models = [random_model(rng, 1, 9, ranks=range(5)) for _ in range(200)]
         models += [_degenerate_model(rng) for _ in range(300)]
         for m in models:
-            self._check(m)
+            self._check(m, lps)
         vecs = [m.vectors() for m in models]
         # the population holds every shape the closure has to get right
         assert {m.ambient_rank for m in models} == {0, 1, 2, 3, 4}

@@ -222,6 +222,17 @@ class TestStars:
             frozenset({"P0", "P1", "P2", "P3"}),
         }
 
+    def test_star_is_the_members_through_the_prime(self):
+        models = [gen(k) for gen in (gen_d1, gen_d2, gen_d3) for k in range(2, 13)]
+        rng = fresh_rng(salt=65)
+        models += [random_spanning_model(rng, max_primes=10) for _ in range(60)]
+        for m in models:
+            members = enumerate_v(m)
+            for pid in m.ids():
+                assert nu(m, pid) == tuple(s for s in members if pid in s)
+            with pytest.raises(ValueError, match="unknown prime ids"):
+                nu(m, "X")
+
     def test_star_unknown_prime(self):
         with pytest.raises(ValueError):
             nu(gen_d1(4), "P9")
