@@ -5,7 +5,8 @@ either short text or (with --json) a Report object carrying the command, an
 input digest, and the results.  Output is byte-deterministic for fixed
 inputs; wall-clock timing is therefore opt-in via --timing.  Exit status: 0
 for a computed result, 1 for a negative verdict on a decision command, 2 for
-usage, format, or precondition problems and for an output pipe closed early.
+usage, format, or precondition problems, for an output pipe closed early and
+for text that the output's encoding cannot carry.
 """
 
 from __future__ import annotations
@@ -66,10 +67,15 @@ def _parse_support(text: str) -> list[str]:
 
 
 def _put_json(value: object, indent: str, out: list[str], memo: dict) -> None:
-    """Append the text of `value` at `indent` to `out`.  `memo[indent]` keeps
-    {id: text} of each list of strings written at that indent.  Not a
-    closure: one that calls itself is a reference cycle, which keeps each
-    report's pieces alive until the cycle collector runs."""
+    """Append the text of `value` at `indent` to `out`.  A list of strings is
+    one C-level join.  Any other list looks its items up in `memo[inner]`,
+    the {id: text} of the lists of strings already written as list items at
+    its inner indent, in one C-level pass; each such item not met yet is
+    encoded in place and kept.  When every item then has its text, the texts
+    go to `out` in one C-level pass too, with no joined copy; otherwise the
+    items without one are visited.  Not a closure: one that calls itself is
+    a reference cycle, which keeps each report's pieces alive until the
+    cycle collector runs."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
         return
@@ -85,44 +91,28 @@ def _put_json(value: object, indent: str, out: list[str], memo: dict) -> None:
             _put_json(item, inner, out, memo)
         out.append("\n" + indent + "}")
         return
-    known = memo.setdefault(indent, {})
-    text = known.get(id(value))
-    if text is None:
-        try:
-            text = known[id(value)] = (
-                "[\n" + inner + sep.join(map(encode_basestring_ascii, value))
-                + "\n" + indent + "]"
-            )
-        except TypeError:  # an item is not a string
-            _put_items(value, indent, out, memo)
-            return
-    out.append(text)
-
-
-def _put_items(value, indent: str, out: list[str], memo: dict) -> None:
-    """Append the text of a list that holds a non-string item.  Its items
-    already written at the inner indent are looked up in one C-level pass,
-    and only the others are visited: a nonempty list of strings is encoded
-    in place and kept.  When every item then has its text, the texts go to
-    `out` in one C-level pass too, with no joined copy; otherwise the items
-    without one go through `_put_json`."""
-    inner = indent + "  "
+    head, tail = "[\n" + inner, "\n" + indent + "]"
+    try:
+        out.append(head + sep.join(map(encode_basestring_ascii, value)) + tail)
+        return
+    except TypeError:  # an item is not a string
+        pass
     known = memo.setdefault(inner, {})
     texts = list(map(known.get, map(id, value)))
-    # the text of a list of strings at the inner indent, as `_put_json` has it
+    # the text of a list of strings at the inner indent
     deeper = inner + "  "
-    head, join, tail = "[\n" + deeper, (",\n" + deeper).join, "\n" + inner + "]"
+    item_head, join = "[\n" + deeper, (",\n" + deeper).join
+    item_tail = "\n" + inner + "]"
     for i in compress(range(len(texts)), map(is_, texts, repeat(None))):
         item = value[i]
         if item and isinstance(item, (list, tuple)):
             try:
                 texts[i] = known[id(item)] = (
-                    head + join(map(encode_basestring_ascii, item)) + tail
+                    item_head + join(map(encode_basestring_ascii, item)) + item_tail
                 )
             except TypeError:  # an item of the item is not a string
                 pass
-    sep = ",\n" + inner
-    out.append("[\n" + inner)
+    out.append(head)
     if None in texts:
         for n, (item, text) in enumerate(zip(value, texts)):
             if n:
@@ -133,7 +123,7 @@ def _put_items(value, indent: str, out: list[str], memo: dict) -> None:
                 out.append(text)
     else:  # the texts and separators, in one C-level pass
         out += islice(chain.from_iterable(zip(repeat(sep), texts)), 1, None)
-    out.append("\n" + indent + "]")
+    out.append(tail)
 
 
 def _json_text(value: object) -> str:
@@ -141,10 +131,10 @@ def _json_text(value: object) -> str:
     strings and scalars.  json runs its pure-Python encoder whenever `indent`
     is set; here strings go through its C `encode_basestring_ascii`, and the
     pieces are joined once at the end, as json does, with no large
-    intermediate strings.  A list of strings is one C-level join, and its
-    text is kept per (indent, object): every object stays alive and
-    unchanged for the call, so a list met again is encoded once.  A list of
-    lists looks its items up in that memo in one C-level pass."""
+    intermediate strings.  The memo holds list items only, keyed per (inner
+    indent, object): every object stays alive and unchanged for the call, so
+    a list of strings met again as an item at the same indent, as a member
+    of V is in each of its `mprop` stars, is encoded once."""
     out: list[str] = []
     _put_json(value, "", out, {})
     return "".join(out)
@@ -212,7 +202,8 @@ def _cmd_coprime(ns) -> tuple[int, dict, list[str], list[str]]:
 
 def _cmd_mprop(ns) -> tuple[int, dict, Iterable[str], list[str]]:
     m, text = _load(ns.model)
-    families = [(semilattice.theta(m, f), f) for f in semilattice.mprop(m)]
+    # the stars come as nu(P) in id order, so each is named by its own prime
+    families = list(zip(m.ids(), semilattice.mprop(m)))
     # one sorted id list per member of V, shared by every star through it
     ids = {s: sorted(s) for s in enumerate_v(m)}
     results = {
@@ -342,21 +333,6 @@ def _cmd_reay(ns) -> tuple[int, dict, list[str], list[str]]:
     return 0, results, lines, ["reay", text]
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "v-member": _cmd_v_member,
-    "enumerate-v": _cmd_enumerate_v,
-    "coprime": _cmd_coprime,
-    "mprop": _cmd_mprop,
-    "inv": _cmd_inv,
-    "rank": _cmd_rank,
-    "iso": _cmd_iso,
-    "extend-iso": _cmd_extend_iso,
-    "gen": _cmd_gen,
-    "reay": _cmd_reay,
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
@@ -372,47 +348,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check class data")
-    p.add_argument("model")
+    def add(name, handler, summary):
+        """A subcommand that `main` runs through its `handler` default."""
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("v-member", parents=[common], help="support membership")
+    add("validate", _cmd_validate, "check class data").add_argument("model")
+
+    p = add("v-member", _cmd_v_member, "support membership")
     p.add_argument("model")
     p.add_argument("support", help="comma-separated prime ids, e.g. P0,P1")
 
-    p = sub.add_parser("enumerate-v", parents=[common], help="list all supports")
-    p.add_argument("model")
+    add("enumerate-v", _cmd_enumerate_v, "list all supports").add_argument("model")
 
-    p = sub.add_parser("coprime", parents=[common], help="tuple coprimality")
+    p = add("coprime", _cmd_coprime, "tuple coprimality")
     p.add_argument("model")
     p.add_argument("supports", nargs="+", help="two or more comma-separated supports")
 
-    p = sub.add_parser("mprop", parents=[common], help="maximal product-proper families")
-    p.add_argument("model")
+    add("mprop", _cmd_mprop, "maximal product-proper families").add_argument("model")
 
-    p = sub.add_parser("inv", parents=[common], help="almost-inverses of a prime set")
+    p = add("inv", _cmd_inv, "almost-inverses of a prime set")
     p.add_argument("model")
     p.add_argument("primes", nargs="*", help="prime ids (empty set allowed)")
 
-    p = sub.add_parser("rank", parents=[common], help="recover rank from the poset")
-    p.add_argument("model")
+    add("rank", _cmd_rank, "recover rank from the poset").add_argument("model")
 
-    p = sub.add_parser("iso", parents=[common], help="search for a prime bijection")
+    p = add("iso", _cmd_iso, "search for a prime bijection")
     p.add_argument("model_a")
     p.add_argument("model_b")
 
-    p = sub.add_parser(
-        "extend-iso", parents=[common], help="transport a support-map isomorphism"
-    )
+    p = add("extend-iso", _cmd_extend_iso, "transport a support-map isomorphism")
     p.add_argument("model_a")
     p.add_argument("model_b")
     p.add_argument("phi", help="JSON array of [source ids, target ids] pairs")
 
-    p = sub.add_parser("gen", parents=[common], help="emit a generator model")
+    p = add("gen", _cmd_gen, "emit a generator model")
     p.add_argument("family", choices=sorted(_FAMILIES))
     p.add_argument("--k", type=int, required=True, help="number of primes (>= 2)")
     p.add_argument("--output", "-o", help="write the model here instead of stdout")
 
-    p = sub.add_parser("reay", parents=[common], help="maximum weak Reay partition")
+    p = add("reay", _cmd_reay, "maximum weak Reay partition")
     p.add_argument("vectors", help="JSON array of vectors of rational strings")
 
     return parser
@@ -420,10 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = build_parser().parse_args(argv)
-    handler = _HANDLERS[ns.command]
     started = time.perf_counter()
     try:
-        code, results, lines, digest_parts = handler(ns)
+        code, results, lines, digest_parts = ns.handler(ns)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -448,6 +423,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # The reader closed the pipe.  Point stdout at devnull so that the
         # flush at exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except UnicodeEncodeError as exc:
+        # text output naming a prime id that stdout's encoding cannot carry
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
     return code
 

@@ -128,7 +128,9 @@ def theta(m: Model, family: Iterable[Iterable[str]]) -> PrimeId:
 
 
 def mprop(m: Model) -> tuple[Family, ...]:
-    """All maximal product-proper subfamilies, one star nu(P) per prime.
+    """All maximal product-proper subfamilies, one star nu(P) per prime, in
+    `m.ids()` order.  On a witness-rich model theta(nu(P)) = P, so the CLI
+    names each star by the prime at its position and never runs theta.
 
     Refuses models that are not witness-rich: there the stars need not be
     maximal or exhaustive, so certifying them would assert a theorem whose

@@ -460,6 +460,8 @@ SHARED = ["P0", "P1"]
 # at another one
 TWICE = ["Q0", Sub("Q1")]
 ONCE_EACH = ["R0"]
+# one list as a dict value and as a list item, at one indent and at others
+LISTED = ["L0", "L1"]
 
 
 class TestReportWriter:
@@ -501,6 +503,8 @@ class TestReportWriter:
             [ONCE_EACH, [ONCE_EACH, [ONCE_EACH]], {"c": ONCE_EACH}],
             [["a", 1], ["a", ["b"]], [], ("t", "u"), [Sub("s"), "x"], [Sub("y")], ["a", []]],
             [[1, "a"], [[], "b"], [("c",), "d"], [Sub("e")]],
+            [{"a": LISTED}, [LISTED], LISTED],
+            {"a": LISTED, "b": [LISTED, LISTED], "c": [[LISTED]]},
         ],
     )
     def test_synthetic_values(self, value):
@@ -674,3 +678,27 @@ class TestEntryPoint:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 2
         assert b"Traceback" not in err
+
+    def test_unencodable_text_output_exits_2_without_a_traceback(self, tmp_path):
+        target = tmp_path / "m.json"
+        target.write_text(json.dumps({"ambient_rank": 1, "primes": [
+            {"id": "\u00e9", "class": ["1"]}, {"id": "P1", "class": ["-1"]},
+        ]}))
+        env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "radrank.cli", *argv, str(target)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+
+        text = cli("enumerate-v")
+        assert text.returncode == 2
+        assert text.stderr.startswith("error: ")
+        assert "Traceback" not in text.stderr
+        # --json output is ASCII whatever the ids
+        report = cli("enumerate-v", "--json")
+        assert report.returncode == 0
+        assert json.loads(report.stdout)["results"]["members"] == [["P1", "\u00e9"]]
