@@ -28,7 +28,7 @@ from .cones import GeneratorSet, max_weak_reay
 from .errors import ModelFormatError
 from .model import (
     Model, dumps_model, enumerate_v, loads_json, loads_model, model_to_dict,
-    read_text, v_membership, validate,
+    read_text, v_id_tuples, v_membership, validate,
 )
 from .ratlin import parse_vector
 
@@ -56,7 +56,11 @@ def _load(path: str) -> tuple[Model, str]:
 
 
 def _support_text(support) -> str:
-    return "{" + ",".join(sorted(support)) + "}"
+    return _ids_text(sorted(support))
+
+
+def _ids_text(sorted_ids) -> str:
+    return "{" + ",".join(sorted_ids) + "}"
 
 
 def _parse_support(text: str) -> list[str]:
@@ -177,9 +181,9 @@ def _cmd_v_member(ns) -> tuple[int, dict, list[str], list[str]]:
 
 def _cmd_enumerate_v(ns) -> tuple[int, dict, Iterable[str], list[str]]:
     m, text = _load(ns.model)
-    members = enumerate_v(m)
-    results = {"members": [sorted(s) for s in members], "count": len(members)}
-    lines = (_support_text(s) for s in results["members"])
+    members = v_id_tuples(m)
+    results = {"members": members, "count": len(members)}
+    lines = map(_ids_text, members)
     return 0, results, lines, ["enumerate-v", text]
 
 
@@ -204,8 +208,8 @@ def _cmd_mprop(ns) -> tuple[int, dict, Iterable[str], list[str]]:
     m, text = _load(ns.model)
     # the stars come as nu(P) in id order, so each is named by its own prime
     families = list(zip(m.ids(), semilattice.mprop(m)))
-    # one sorted id list per member of V, shared by every star through it
-    ids = {s: sorted(s) for s in enumerate_v(m)}
+    # one sorted id tuple per member of V, shared by every star through it
+    ids = dict(zip(enumerate_v(m), v_id_tuples(m)))
     results = {
         "families": [
             {"prime": prime, "members": [ids[s] for s in family]}
@@ -218,7 +222,7 @@ def _cmd_mprop(ns) -> tuple[int, dict, Iterable[str], list[str]]:
 def _mprop_lines(families, ids) -> Iterator[str]:
     """The text of `mprop`, one line per star.  Each member's `{...}` is
     built once, from its sorted ids, and shared by the stars through it."""
-    texts = {s: "{" + ",".join(sorted_ids) + "}" for s, sorted_ids in ids.items()}
+    texts = dict(zip(ids, map(_ids_text, ids.values())))
     for prime, family in families:
         yield f"{prime}: " + " ".join(map(texts.__getitem__, family))
 

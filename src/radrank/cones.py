@@ -7,8 +7,9 @@ The sets that positively span their span form a union-closed family, and each
 member is a union of positive circuits.  A circuit's prefix is linearly
 independent, so `principal_table` finds the circuits with no LP and no rank
 pre-pass, one `circuit_step` per independent prefix and larger index, and
-settles all 2^n subsets by one subset-union pass over a table of the
-circuits inside each; `enumerate_v` and the weak Reay chain both read it.
+flags all 2^n subsets closed or not by a subset-union pass done bit-sliced:
+one 2^n-bit int per generator, n^2 big-int operations in all.
+`enumerate_v` and the weak Reay chain both read the flags.
 Partitions are represented by their chains of prefix unions.  The closed sets
 are graded, so the maximum-cardinality search walks up least covers; its 2^n
 predicate calls cap the practical size at a dozen generators.
@@ -17,7 +18,6 @@ predicate calls cap the practical size at a dozen generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import or_
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DimensionError, PreconditionError, check_budget
@@ -140,23 +140,24 @@ def extract_positive_basis(x: Generators, n: int) -> GeneratorSet:
     return prune(gens.subset(kept), n)
 
 
-def principal_table(vecs: Sequence[Vector]) -> tuple[list[int], tuple[int, ...]]:
-    """(inside, circuits) for the subsets of vecs, as int masks whose bit i
+def principal_table(vecs: Sequence[Vector]) -> tuple[bytes, tuple[int, ...]]:
+    """(closed, circuits) for the subsets of vecs, as int masks whose bit i
     stands for vecs[i].
 
     `circuits` are the positive circuits, the minimal subsets some strictly
     positive combination of which vanishes, in (size, sorted index) order.
-    `inside[mask]` is the union of the circuits within mask: the principal
-    subsets are the unions of circuits, so a mask is principal iff
-    `inside[mask] == mask != 0`.
+    `closed[mask]` is 1 iff mask is empty or principal, else 0.  The
+    principal subsets are the unions of circuits, so a mask is closed iff
+    each of its indices lies in a circuit inside it.
 
     A circuit's prefix (all but its largest index) is linearly independent,
     so one breadth-first walk over the independent prefixes finds them all:
     one `circuit_step` per (independent prefix, larger index), carried down
-    from the prefix's integer elimination with no LP.  Independent prefixes
-    have at most rank vectors, so that is at most sum_{k <= rank} C(n, k + 1)
-    steps.  `inside` is then one subset-union pass per index over the 2^n
-    table.
+    from the prefix's integer elimination with no LP, and growing the
+    elimination only for a prefix a later step extends.  Independent
+    prefixes have at most rank vectors, so that is at most
+    sum_{k <= rank} C(n, k + 1) steps.  `closed` then comes from n slices of
+    2^n bits, one per index, by n^2 big-int operations (`closed_flags`).
     """
     count = len(vecs)
     cols = integer_columns(vecs)
@@ -167,29 +168,59 @@ def principal_table(vecs: Sequence[Vector]) -> tuple[list[int], tuple[int, ...]]
         longer = []
         for prefix, last, state in level:
             for i in range(last + 1, count):
-                grown, kernel = circuit_step(state, cols[i])
+                grown, kernel = circuit_step(state, cols[i], grow=i + 1 < count)
                 if kernel is not None:
                     circuits.append(prefix | 1 << i)
-                elif grown is not None and i + 1 < count:
+                elif grown is not None:
                     longer.append((prefix | 1 << i, i, grown))
         level = longer
+    return closed_flags(count, circuits), tuple(circuits)
+
+
+def masks_lacking(count: int) -> list[int]:
+    """One 2^count-bit int per index i < count, whose bit mask is set iff
+    mask lacks i: runs of 2^i ones and 2^i zeros, built by doubling."""
     size = 1 << count
-    inside = [0] * size
-    for c in circuits:
-        inside[c] = c
+    lacks = []
     for i in range(count):
-        # inside[mask] |= inside[mask without i] for each mask holding i,
-        # over whichever slices are fewer: strided by offset or contiguous
-        low, step = 1 << i, 2 << i
-        if low <= size // step:
-            for o in range(low):
-                high = slice(o + low, size, step)
-                inside[high] = map(or_, inside[high], inside[o::step])
-        else:
-            for o in range(0, size, step):
-                high = slice(o + low, o + step)
-                inside[high] = map(or_, inside[high], inside[o:o + low])
-    return inside, tuple(circuits)
+        pattern, width = (1 << (1 << i)) - 1, 2 << i
+        while width < size:
+            pattern |= pattern << width
+            width <<= 1
+        lacks.append(pattern)
+    return lacks
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def closed_flags(count: int, circuits: Sequence[int]) -> bytes:
+    """The 2^count flags of `principal_table`: flag mask is 1 iff each index
+    in mask lies in one of the circuits inside mask, that is, iff mask is
+    the union of the circuits inside it.
+
+    Bit mask of `slices[j]` is set iff j lies in a circuit inside mask.  The
+    slices start at the circuits holding j; adding index i to every mask
+    that lacks it, `s | (s & lacks[i]) << 2^i`, is the subset-union pass for
+    bit i over all 2^count masks at once (a zeta transform over union).
+    Mask is then closed iff every slice j has bit mask set or mask lacks j.
+    """
+    size = 1 << count
+    lacks = masks_lacking(count)
+    marks = bytearray((size + 7) >> 3)
+    for c in circuits:
+        marks[c >> 3] |= 1 << (c & 7)
+    found = int.from_bytes(marks, "little")
+    slices = [found & ~low for low in lacks]
+    for i, low in enumerate(lacks):
+        shift = 1 << i
+        slices = [s | (s & low) << shift for s in slices]
+    closed = (1 << size) - 1
+    for s, low in zip(slices, lacks):
+        closed &= s | low
+    # binary digits come most significant first, so reversed they are in
+    # mask order
+    return format(closed, f"0{size}b")[::-1].encode().translate(_BIT_FLAGS)
 
 
 def longest_closed_chain(
@@ -251,8 +282,8 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
         raise PreconditionError("generators do not positively span their span")
     vecs = gens.vectors
     check_budget(len(vecs), "the chain search over the labels")
-    inside, _ = principal_table(vecs)
-    chain = longest_closed_chain(gens.labels, lambda mask: inside[mask] == mask)
+    closed, _ = principal_table(vecs)
+    chain = longest_closed_chain(gens.labels, closed.__getitem__)
     blocks = tuple(
         frozenset(cur - prev) for prev, cur in zip(chain, chain[1:])
     )

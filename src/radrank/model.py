@@ -13,8 +13,8 @@ most rank + 1 primes (rank = linear rank of the class vectors).  So
 `enumerate_v` reads one `cones.principal_table`, the table the weak Reay
 chain also reads: at most sum_{k <= rank} C(n, k + 1) exact elimination
 steps find the circuits over n primes, V's minimal members (`v_circuits`),
-and a subset-union pass over the 2^n subsets settles the rest, with no LP.
-`v_membership` on a single support is the LP.
+and n^2 big-int operations on one 2^n-bit slice per prime settle the rest,
+with no LP.  `v_membership` on a single support is the LP.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, compress
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ModelFormatError, check_budget
@@ -137,35 +137,38 @@ def enumerate_v(m: Model) -> tuple[Support, ...]:
     """All principal supports, ordered by (size, sorted ids).
 
     One `principal_table` over the class vectors, which finds the circuits
-    by exact elimination steps and settles each subset by the union of the
-    circuits within it, with no LP.  One pass over the subsets, as
-    (frozenset, mask) pairs, enters each member into V's {support: mask}
-    index and then asks `v_membership` about the subset, one call per
-    subset, which the index answers.  One key keeps V, that index and the
-    circuits' masks; it is set while the pass runs and dropped if the pass
-    raises, so no partial V stays on the model.
+    by exact elimination steps and flags each subset closed or not by n^2
+    big-int operations on 2^n-bit slices, with no LP.  For each size, one
+    C-level pass over the subsets, as frozensets and masks, reads their
+    flags and enters the members into V's {support: mask} index; then
+    `v_membership` is asked about each subset of that size, one call per
+    subset, which the index answers.  One key keeps V, that index, the
+    circuits' masks and each size's flags, from which `v_id_tuples` reads
+    the members' sorted id tuples; it is set while the pass runs and
+    dropped if the pass raises, so no partial V stays on the model.
     """
     ids = m.ids()
     check_budget(len(ids), "enumerating V over the primes")
     got = m._cache.get("V")
     if got is None:
-        inside, circuits = principal_table(m.vectors())
+        closed, circuits = principal_table(m.vectors())
         bits = [1 << i for i in range(len(ids))]
         index: dict[Support, int] = {}
-        m._cache["V"] = ((), index, circuits)
+        sized_flags: list[bytes] = []
+        m._cache["V"] = ((), index, circuits, ())
         try:
             for size in range(1, len(ids) + 1):
-                for support, mask in zip(
-                    map(frozenset, combinations(ids, size)),
-                    map(sum, combinations(bits, size)),
-                ):
-                    if inside[mask] == mask:
-                        index[support] = mask
+                supports = list(map(frozenset, combinations(ids, size)))
+                masks = list(map(sum, combinations(bits, size)))
+                flags = bytes(map(closed.__getitem__, masks))
+                index.update(zip(compress(supports, flags), compress(masks, flags)))
+                sized_flags.append(flags)
+                for support in supports:
                     v_membership(m, support)
         except BaseException:
             del m._cache["V"]
             raise
-        m._cache["V"] = got = (tuple(index), index, circuits)
+        m._cache["V"] = got = (tuple(index), index, circuits, tuple(sized_flags))
     return got[0]
 
 
@@ -179,6 +182,19 @@ def v_index(m: Model) -> dict[Support, int]:
     """`enumerate_v(m)` as {support: mask over `m.ids()`}, in the same order."""
     enumerate_v(m)
     return m._cache["V"][1]
+
+
+def v_id_tuples(m: Model) -> tuple[tuple[PrimeId, ...], ...]:
+    """`enumerate_v(m)` with each member as its sorted id tuple, in the same
+    order: one C-level pass per size over the combinations of the ids and
+    the flags `enumerate_v` kept, made per call, so that only the commands
+    that report members build the tuples."""
+    enumerate_v(m)
+    ids = m.ids()
+    return tuple(chain.from_iterable(
+        compress(combinations(ids, size), flags)
+        for size, flags in enumerate(m._cache["V"][3], 1)
+    ))
 
 
 def v_circuits(m: Model) -> tuple[int, ...]:

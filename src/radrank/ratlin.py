@@ -78,7 +78,7 @@ def elimination_state(dim: int) -> EliminationState:
 
 
 def circuit_step(
-    state: EliminationState, column: Sequence[int]
+    state: EliminationState, column: Sequence[int], grow: bool = True
 ) -> tuple[Optional[EliminationState], Optional[tuple[int, ...]]]:
     """Add one column to the elimination of linearly independent columns.
 
@@ -87,7 +87,9 @@ def circuit_step(
     every coefficient strictly negative, kernel being the primitive, strictly
     positive kernel vector of the state's columns followed by this one; and
     (None, None) otherwise.  Deciding takes at most dim dot products; only
-    an extension pivots the rows, at about dim^2 integer products.
+    an extension pivots the rows, at about dim^2 integer products, and only
+    when `grow` is true: a caller that will read no extension passes false
+    and gets (None, None) for an independent column too.
     """
     scale, inverse, annihilator = state
     for p, row in enumerate(annihilator):
@@ -106,6 +108,8 @@ def circuit_step(
         kernel.append(scale)
         g = gcd(*kernel) if scale > 0 else -gcd(*kernel)
         return None, tuple(x // g for x in kernel)
+    if not grow:
+        return None, None
     # pivot on annihilator row p, which takes the column to alpha != 0
     pivot = annihilator[p]
     grown = []
@@ -144,7 +148,7 @@ def positive_circuit(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, ..
         state, _ = circuit_step(state, column)
         if state is None:
             return None
-    return circuit_step(state, columns[-1])[1]
+    return circuit_step(state, columns[-1], grow=False)[1]
 
 
 def _phase_one(

@@ -13,6 +13,7 @@ off `v_by_lp`.  Keep inputs tiny.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import or_
 
 from radrank.cones import GeneratorSet, positively_spans_its_span
 from radrank.errors import PreconditionError, check_budget
@@ -369,6 +370,29 @@ def minimal_members(v_family):
         if not any(c <= x for c in out):
             out.append(x)
     return out
+
+
+def subset_unions(count, circuits):
+    """A list `inside` of 2**count ints, `inside[mask]` being the union of
+    the given masks that lie within mask: one subset-union pass per index
+    over the list, each over whichever slices are fewer, strided by offset
+    or contiguous."""
+    size = 1 << count
+    inside = [0] * size
+    for c in circuits:
+        inside[c] = c
+    for i in range(count):
+        # inside[mask] |= inside[mask without i] for each mask holding i
+        low, step = 1 << i, 2 << i
+        if low <= size // step:
+            for o in range(low):
+                high = slice(o + low, size, step)
+                inside[high] = map(or_, inside[high], inside[o::step])
+        else:
+            for o in range(0, size, step):
+                high = slice(o + low, o + step)
+                inside[high] = map(or_, inside[high], inside[o:o + low])
+    return inside
 
 
 def iso_by_images(va, ids_a, vb, ids_b):

@@ -12,6 +12,7 @@ from oracles import (
     random_maximal_chain,
     reay_by_lp,
     spans_by_negations,
+    subset_unions,
 )
 import radrank.cones
 import radrank.ratlin
@@ -25,7 +26,8 @@ from radrank import (
     max_weak_reay,
 )
 from radrank.cones import (
-    longest_closed_chain, positively_spans_its_span, principal_table
+    closed_flags, longest_closed_chain, masks_lacking, positively_spans_its_span,
+    principal_table,
 )
 from radrank.ratlin import integer_columns, strict_zero_combination
 
@@ -336,9 +338,9 @@ class TestMaxWeakReayLPCount:
         real_szc = radrank.ratlin.strict_zero_combination
         real_phase_one = radrank.ratlin._phase_one
 
-        def counted_step(state, column):
+        def counted_step(state, column, grow=True):
             circuits.append(len(state.inverse) + 1)  # the tested subset's size
-            return real_step(state, column)
+            return real_step(state, column, grow)
 
         def counted_spanning(x):
             spanning.append(x)
@@ -407,9 +409,9 @@ class TestPrincipalTable:
         calls = []
         real_step = radrank.cones.circuit_step
 
-        def counted_step(state, column):
-            calls.append((len(state.inverse), column))
-            return real_step(state, column)
+        def counted_step(state, column, grow=True):
+            calls.append((len(state.inverse), column, grow))
+            return real_step(state, column, grow)
 
         monkeypatch.setattr(radrank.cones, "circuit_step", counted_step)
         steps = 0
@@ -417,8 +419,10 @@ class TestPrincipalTable:
             count = len(vecs)
             cols = integer_columns(vecs)
             del calls[:]
-            inside, circuits = principal_table(vecs)
-            assert len(inside) == 1 << count
+            closed, circuits = principal_table(vecs)
+            # one flag per mask, the empty mask closed, even with no vectors
+            assert type(closed) is bytes and len(closed) == 1 << count
+            assert set(closed) <= {0, 1} and closed[0] == 1
             # in (size, sorted index) order, as `enumerate_v` lists V
             combos = [
                 combo
@@ -429,28 +433,22 @@ class TestPrincipalTable:
             for combo in combos:
                 mask = sum(1 << i for i in combo)
                 want = strict_zero_combination([vecs[i] for i in combo])[0]
-                assert (inside[mask] == mask) == want
+                assert closed[mask] == want
                 if want:
                     family.append(mask)
-            assert inside[0] == 0
             minimal = [
                 f for f in family if not any(g & f == g != f for g in family)
             ]
             assert circuits == tuple(minimal)
-            for mask in range(1 << count):
-                union = 0
-                for f in family:
-                    if f & mask == f:
-                        union |= f
-                assert inside[mask] == union
             # one step per (linearly independent prefix, larger index), the
-            # prefixes by size and then in sorted index order
+            # prefixes by size and then in sorted index order; only a step
+            # that a later index can extend grows the elimination
             prefixes = [()] + [
                 combo for combo in combos
                 if echelon_rank_transposed([vecs[i] for i in combo]) == len(combo)
             ]
             want_calls = [
-                (len(prefix), cols[i])
+                (len(prefix), cols[i], i + 1 < count)
                 for prefix in prefixes
                 for i in range(prefix[-1] + 1 if prefix else 0, count)
             ]
@@ -459,6 +457,45 @@ class TestPrincipalTable:
             assert all(len(prefix) <= most for prefix in prefixes)
             steps += len(calls)
         assert steps >= 4_000
+
+    @staticmethod
+    def _check_against_list_table(count, circuits, closed):
+        inside = subset_unions(count, circuits)
+        assert closed == bytes(inside[mask] == mask for mask in range(1 << count))
+
+    def test_bit_sliced_table_matches_the_list_table_on_vector_sets(self):
+        rng = fresh_rng(salt=36)
+        has_circuits = set()
+        for rank in range(1, 5):
+            for count in range(17):
+                vecs = [
+                    tuple(F(rng.randint(-2, 2)) for _ in range(rank))
+                    for _ in range(count)
+                ]
+                closed, circuits = principal_table(vecs)
+                self._check_against_list_table(count, circuits, closed)
+                has_circuits.add(len(circuits) > 0)
+        assert has_circuits == {False, True}
+
+    def test_bit_sliced_table_matches_the_list_table_on_any_masks(self):
+        # any family of masks, not only circuits: each mask is closed iff it
+        # is the union of the family's masks inside it
+        rng = fresh_rng(salt=37)
+        for count in range(11):
+            for _ in range(20):
+                family = [rng.randrange(1 << count) for _ in range(rng.randint(0, 12))]
+                self._check_against_list_table(count, family, closed_flags(count, family))
+
+    def test_patterns_mark_the_masks_lacking_each_index(self):
+        for count in range(15):
+            size = 1 << count
+            lacks = masks_lacking(count)
+            assert len(lacks) == count
+            for i, pattern in enumerate(lacks):
+                want = "".join(
+                    "0" if mask >> i & 1 else "1" for mask in reversed(range(size))
+                )
+                assert pattern == int(want, 2)
 
 
 class TestLongestClosedChain:

@@ -37,7 +37,7 @@ from radrank import (
     v_membership,
     validate,
 )
-from radrank.model import loads_json, v_circuits
+from radrank.model import loads_json, v_circuits, v_id_tuples
 
 F = Fraction
 
@@ -245,9 +245,10 @@ def _degenerate_model(rng):
 
 
 class TestEnumerateVAgainstLP:
-    """enumerate_v's union closure against one LP per subset, and the
-    circuits the sweep flags against V's minimal members.  Once V is known,
-    v_membership answers every subset from it, with no LP."""
+    """enumerate_v's union closure against one LP per subset, its members'
+    sorted id tuples, and the circuits the sweep flags against V's minimal
+    members.  Once V is known, v_membership answers every subset from it,
+    with no LP."""
 
     @pytest.fixture
     def lps(self, monkeypatch):
@@ -265,6 +266,7 @@ class TestEnumerateVAgainstLP:
         verdicts = v_by_lp(m)
         members = enumerate_v(m)
         assert members == tuple(s for s, ok in verdicts.items() if ok)
+        assert v_id_tuples(m) == tuple(tuple(sorted(s)) for s in members)
         ids = m.ids()
         assert v_circuits(m) == tuple(
             sum(1 << ids.index(p) for p in c) for c in minimal_members(members)
@@ -307,9 +309,9 @@ class TestEnumerateVLPCount:
         real_szc = radrank.model.strict_zero_combination
         real_phase_one = radrank.ratlin._phase_one
 
-        def counted_step(state, column):
+        def counted_step(state, column, grow=True):
             calls.append(len(state.inverse) + 1)  # the tested subset's size
-            return real_step(state, column)
+            return real_step(state, column, grow)
 
         def counted_szc(gens):
             lps.append(len(gens))

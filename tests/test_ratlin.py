@@ -372,6 +372,8 @@ class TestCircuitStep:
                 assert rank == len(prefix) == len(state.inverse)
                 for col in cols:
                     grown, kernel = circuit_step(state, col)
+                    # with no extension asked for, the same kernel, no pivot
+                    assert circuit_step(state, col, grow=False) == (None, kernel)
                     extends = echelon_rank_transposed(prefix + [col]) > rank
                     assert (grown is not None) == extends
                     if extends:
