@@ -6,24 +6,26 @@ nonnegative hull of S, iff some strictly positive combination of S vanishes
 The sets that positively span their span form a union-closed family, and each
 member is a union of positive circuits.  A circuit's prefix is linearly
 independent, so `principal_table` finds the circuits with no LP and no rank
-pre-pass, one `circuit_step` per independent prefix and larger index, and
-flags all 2^n subsets closed or not by a subset-union pass done bit-sliced:
-one 2^n-bit int per generator, n^2 big-int operations in all.
+pre-pass: each independent prefix carries one integer tableau over the later
+generators, and deciding a (prefix, larger index) pair reads one column of
+it.  It then flags all 2^n subsets closed or not by a subset-union pass done
+bit-sliced: one 2^n-bit int per generator, n^2 big-int operations in all.
 `enumerate_v` and the weak Reay chain both read the flags.
 Partitions are represented by their chains of prefix unions.  The closed sets
-are graded, so the maximum-cardinality search walks up least covers; its 2^n
-predicate calls cap the practical size at a dozen generators.
+are graded, so the maximum-cardinality search walks up least covers, each
+step scanning only the closed sets above the chain's top; its 2^n predicate
+calls cap the practical size at a dozen generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DimensionError, PreconditionError, check_budget
 from .ratlin import (
-    Vector, circuit_step, cone_member, elimination_state, integer_columns,
-    linear_rank, vec,
+    Vector, cone_member, integer_columns, linear_rank, pivot_columns, vec,
 )
 
 
@@ -151,30 +153,81 @@ def principal_table(vecs: Sequence[Vector]) -> tuple[bytes, tuple[int, ...]]:
     each of its indices lies in a circuit inside it.
 
     A circuit's prefix (all but its largest index) is linearly independent,
-    so one breadth-first walk over the independent prefixes finds them all:
-    one `circuit_step` per (independent prefix, larger index), carried down
-    from the prefix's integer elimination with no LP, and growing the
-    elimination only for a prefix a later step extends.  Independent
-    prefixes have at most rank vectors, so that is at most
-    sum_{k <= rank} C(n, k + 1) steps.  `closed` then comes from n slices of
-    2^n bits, one per index, by n^2 big-int operations (`closed_flags`).
+    so one breadth-first walk over the independent prefixes finds them all,
+    deciding each (independent prefix, larger index) once and with no LP.
+    Each prefix carries its integer tableau over the later columns
+    (`pivot_columns`), so a decision reads a column's entries; a column
+    independent of the prefix pivots a copy for the longer prefix, unless no
+    later index could extend that one.  Independent prefixes have at most
+    rank vectors, so that is at most sum_{k <= rank} C(n, k + 1) decisions.
+    `closed` then comes from n slices of 2^n bits, one per index, by n^2
+    big-int operations (`closed_flags`).
     """
     count = len(vecs)
     cols = integer_columns(vecs)
-    circuits = []
-    # (mask, largest index, elimination state) of each independent prefix
-    level = [(0, -1, elimination_state(len(cols[0]) if cols else 0))]
-    while level:
-        longer = []
-        for prefix, last, state in level:
-            for i in range(last + 1, count):
-                grown, kernel = circuit_step(state, cols[i], grow=i + 1 < count)
-                if kernel is not None:
-                    circuits.append(prefix | 1 << i)
-                elif grown is not None:
-                    longer.append((prefix | 1 << i, i, grown))
-        level = longer
+    free = len(cols[0]) if cols else 0
+    circuits, level = _decide_tableaux(count, free, [(0, -1, list(map(list, cols)), 1)])
+    while level and free > 1:
+        free -= 1
+        found, level = _decide_tableaux(count, free, level)
+        circuits += found
+    # prefixes that leave one annihilator row hand on signs-only children
+    circuits += _decide_signs(count, level)
     return closed_flags(count, circuits), tuple(circuits)
+
+
+def _decide_tableaux(
+    count: int, free: int, level: list[tuple]
+) -> tuple[list[int], list[tuple]]:
+    """Decide every later column of each (mask, largest index, tableau,
+    scale) prefix of one size, `free` being its annihilator rows.  Returns
+    the circuits found, in order, and the next level: the longer prefixes'
+    states, or, when free is 1, (mask, largest index, pivot column, later
+    columns) for `_decide_signs`, since no column is independent of them."""
+    found, longer = [], []
+    for prefix, last, table, scale in level:
+        for j, column in enumerate(table, last + 1):
+            for row in range(free):
+                if column[row]:
+                    break
+            else:
+                # a combination of the prefix: a circuit iff every
+                # coefficient is strictly negative
+                if max(column[free:], default=-1) < 0:
+                    found.append(prefix | 1 << j)
+                continue
+            if j + 1 == count:
+                continue
+            later = table[j - last:]
+            if free > 1:
+                longer.append(
+                    (prefix | 1 << j, j, *pivot_columns(later, column, row, free, scale))
+                )
+            else:
+                longer.append((prefix | 1 << j, j, column, later))
+    return found, longer
+
+
+def _decide_signs(count: int, level: list[tuple]) -> list[int]:
+    """The circuits of each (mask, largest index, pivot column, later
+    columns) prefix that spans, in order: each later column is a
+    combination of the prefix, so it is decided by the signs of the inverse
+    entries the pivot on the single annihilator row would give, with no
+    tableau built and no division, which keeps signs."""
+    found = []
+    for prefix, last, column, later in level:
+        alpha, inverse = column[0], column[1:]
+        sign = 1 if alpha > 0 else -1
+        alpha *= sign
+        for i, entries in enumerate(later, last + 1):
+            b = sign * entries[0]
+            if b < 0:
+                for a, x in zip(entries[1:], inverse):
+                    if alpha * a >= x * b:
+                        break
+                else:
+                    found.append(prefix | 1 << i)
+    return found
 
 
 def masks_lacking(count: int) -> list[int]:
@@ -236,7 +289,9 @@ def longest_closed_chain(
     `max_weak_reay` checks spanning first, and `recover_rank`'s inverse
     basis spans by definition.  Each step takes the least cover (comparing
     sorted label tuples), so the chain is the lexicographically least
-    longest one.  Refuses more than WORK_BUDGET labels.
+    longest one.  A step scans only the closed strict supersets of the
+    chain's top, a list it narrows to those of the new top.  Refuses more
+    than WORK_BUDGET labels.
     """
     labels = sorted(labels)
     count = len(labels)
@@ -246,21 +301,29 @@ def longest_closed_chain(
     def members(mask: int) -> tuple[str, ...]:
         return tuple(labels[i] for i in range(count) if mask >> i & 1)
 
-    ascending = [mask for mask in range(full + 1) if is_closed(mask)]
-    if ascending[:1] != [0] or ascending[-1] != full:
+    masks = range(full + 1)
+    above = list(compress(masks, map(is_closed, masks)))
+    if above[:1] != [0] or above[-1] != full:
         raise PreconditionError("endpoints of the chain are not closed")
 
-    # sup covers cur iff no closed set lies strictly between them; such a set
-    # is a proper subset of sup, so a smaller number, and the ascending scan
-    # has met it, or a cover inside it, already
+    # `above` holds the closed strict supersets of the chain's top, in
+    # ascending order.  sup covers the top iff no closed set lies strictly
+    # between them; such a set is a proper subset of sup, so a smaller
+    # number, and the ascending scan has met it, or a cover inside it,
+    # already
     chain = [0]
-    while chain[-1] != full:
-        cur = chain[-1]
+    del above[0]
+    while above:
         covers: list[int] = []
-        for sup in ascending:
-            if sup & cur == cur != sup and all(low & ~sup for low in covers):
+        for sup in above:
+            for low in covers:
+                if not low & ~sup:
+                    break
+            else:
                 covers.append(sup)
-        chain.append(min(covers, key=members))
+        top = min(covers, key=members)
+        chain.append(top)
+        above = [sup for sup in above if sup & top == top != sup]
     return tuple(frozenset(members(mask)) for mask in chain)
 
 
@@ -273,7 +336,7 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
 
     The closed sets are the empty set and the principal subsets, settled by
     `principal_table` with at most sum_{k <= rank} C(n, k + 1) circuit
-    steps; the only LP is the spanning precondition.
+    decisions; the only LP is the spanning precondition.
     """
     gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(x)
     if len(gens) == 0:

@@ -10,9 +10,9 @@ class ResourceLimitError(RuntimeError):
 
 
 # Most primes or generators an exhaustive subset search (at most
-# sum_{k <= rank} C(n, k + 1) exact circuit steps, then a 2^n table given
-# its verdicts by n * 2^(n-1) unions; 2^n chain predicate calls) may run
-# over; beyond it the search is refused, not left to run.
+# sum_{k <= rank} C(n, k + 1) exact circuit decisions, then a 2^n table
+# given its verdicts by n^2 big-int operations; 2^n chain predicate calls)
+# may run over; beyond it the search is refused, not left to run.
 WORK_BUDGET = 12
 
 

@@ -11,10 +11,11 @@ V is closed under unions, and each member is a union of positive circuits:
 the supports of the extreme rays of {lambda >= 0 : A lambda = 0}, each of at
 most rank + 1 primes (rank = linear rank of the class vectors).  So
 `enumerate_v` reads one `cones.principal_table`, the table the weak Reay
-chain also reads: at most sum_{k <= rank} C(n, k + 1) exact elimination
-steps find the circuits over n primes, V's minimal members (`v_circuits`),
-and n^2 big-int operations on one 2^n-bit slice per prime settle the rest,
-with no LP.  `v_membership` on a single support is the LP.
+chain also reads: at most sum_{k <= rank} C(n, k + 1) exact decisions, each
+read off an integer elimination tableau carried down from a shorter prefix,
+find the circuits over n primes, V's minimal members (`v_circuits`), and n^2
+big-int operations on one 2^n-bit slice per prime settle the rest, with no
+LP.  `v_membership` on a single support is the LP.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def enumerate_v(m: Model) -> tuple[Support, ...]:
     """All principal supports, ordered by (size, sorted ids).
 
     One `principal_table` over the class vectors, which finds the circuits
-    by exact elimination steps and flags each subset closed or not by n^2
+    by exact elimination and flags each subset closed or not by n^2
     big-int operations on 2^n-bit slices, with no LP.  For each size, one
     C-level pass over the subsets, as frozensets and masks, reads their
     flags and enters the members into V's {support: mask} index; then

@@ -6,20 +6,19 @@ exactly on boundaries where rounding flips verdicts.  The pieces are a
 phase-1 simplex for equality systems with lower bounds,
 nonnegative-combination (cone) membership, strictly positive zero
 combinations, rank, and a Smith normal form that returns its unimodular
-transforms.  The LP-free positive circuit test is one fraction-free
-elimination step on integer columns, `circuit_step`, that extends the state
-of an independent prefix, so a walk over independent prefixes carries it
-down instead of eliminating each subset afresh.
+transforms.  The LP-free positive circuit test is fraction-free
+Gauss-Jordan elimination on integer columns (Bareiss 1968), one pivot at a
+time, `pivot_columns`, on a tableau kept as its rows' products with the
+columns still to come; a walk over independent prefixes carries each
+prefix's tableau down instead of eliminating each subset afresh.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm, prod
-from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionError
 
@@ -60,76 +59,40 @@ def integer_columns(vectors: Sequence[Sequence]) -> list[tuple[int, ...]]:
     return list(zip(*rows)) if rows else [()] * len(vecs)
 
 
-class EliminationState(NamedTuple):
-    """Fraction-free Gauss-Jordan elimination of linearly independent integer
-    columns c_0, ..., c_(k-1) in Q^dim: row j of `inverse` takes c_j to
-    `scale` and every other c_i to 0, and the dim - k rows of `annihilator`
-    take every c_i to 0."""
+def pivot_columns(
+    later: Sequence[Sequence[int]], column: Sequence[int], row: int, free: int,
+    scale: int,
+) -> tuple[list[list[int]], int]:
+    """One fraction-free Gauss-Jordan pivot (Bareiss 1968) of an integer
+    tableau kept as the products of its rows with the columns still to come.
 
-    scale: int
-    inverse: tuple[tuple[int, ...], ...]
-    annihilator: tuple[tuple[int, ...], ...]
+    The tableau of linearly independent columns c_0, ..., c_(k-1) in Q^dim
+    has dim rows: its first `free` = dim - k rows take every c_i to 0, and
+    the last k take their own c_i to `scale` > 0 and the others to 0.  A
+    tableau column is the rows' products with one input column, so an input
+    column is a combination of the c_i iff its first `free` entries vanish,
+    and then its coefficient on each c_i has the sign of that row's entry.
 
-
-def elimination_state(dim: int) -> EliminationState:
-    """The elimination state of no columns in Q^dim."""
-    unit = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-    return EliminationState(1, (), unit)
-
-
-def circuit_step(
-    state: EliminationState, column: Sequence[int], grow: bool = True
-) -> tuple[Optional[EliminationState], Optional[tuple[int, ...]]]:
-    """Add one column to the elimination of linearly independent columns.
-
-    Returns (extended state, None) when the column is independent of the
-    state's columns; (None, kernel) when it is a combination of them with
-    every coefficient strictly negative, kernel being the primitive, strictly
-    positive kernel vector of the state's columns followed by this one; and
-    (None, None) otherwise.  Deciding takes at most dim dot products; only
-    an extension pivots the rows, at about dim^2 integer products, and only
-    when `grow` is true: a caller that will read no extension passes false
-    and gets (None, None) for an independent column too.
+    Pivoting on entry `row` < free of `column`, which must be nonzero, adds
+    `column` to the c_i: each later column costs two products per entry and
+    one division by the old scale, exact because every entry is, up to
+    sign, a minor of the input columns (Sylvester's identity).  The pivot
+    row, negated if its entry is negative so that the scale stays positive,
+    becomes the new inverse row, moved to slot free - 1 (the annihilator row
+    there takes its slot), so the inverse rows run from the latest column
+    back to c_0.  Returns the pivoted later columns and the new scale.
     """
-    scale, inverse, annihilator = state
-    for p, row in enumerate(annihilator):
-        alpha = sum(map(mul, row, column))
-        if alpha:
-            break
-    else:
-        # column = sum_j (inverse[j] . column / scale) c_j, a positive
-        # circuit iff every coefficient is strictly negative
-        kernel = []
-        for row in inverse:
-            x = sum(map(mul, row, column))
-            if x * scale >= 0:
-                return None, None
-            kernel.append(-x)
-        kernel.append(scale)
-        g = gcd(*kernel) if scale > 0 else -gcd(*kernel)
-        return None, tuple(x // g for x in kernel)
-    if not grow:
-        return None, None
-    # pivot on annihilator row p, which takes the column to alpha != 0
-    pivot = annihilator[p]
-    grown = []
-    for row in inverse:
-        x = sum(map(mul, row, column))
-        grown.append([alpha * a - x * b for a, b in zip(row, pivot)])
-    grown.append([scale * b for b in pivot])
-    g = gcd(alpha * scale, *chain.from_iterable(grown))
-    rest = []
-    for row in annihilator[p + 1:]:
-        x = sum(map(mul, row, column))
-        rest.append(
-            tuple(_primitive([alpha * a - x * b for a, b in zip(row, pivot)]))
-            if x else row
-        )
-    return EliminationState(
-        alpha * scale // g,
-        tuple(tuple(a // g for a in row) for row in grown),
-        annihilator[:p] + tuple(rest),
-    ), None
+    alpha = column[row]
+    last = free - 1
+    sign, divisor = (1, scale) if alpha > 0 else (-1, -scale)
+    pivoted = []
+    for entries in later:
+        b = entries[row]
+        new = [(alpha * a - x * b) // divisor for a, x in zip(entries, column)]
+        new[row] = new[last]
+        new[last] = sign * b
+        pivoted.append(new)
+    return pivoted, sign * alpha
 
 
 def positive_circuit(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
@@ -137,18 +100,28 @@ def positive_circuit(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, ..
     when their kernel is one-dimensional and spanned by a one-signed vector
     (the columns are then a positive circuit); None otherwise.
 
-    A fold of `circuit_step`, with no LP: the columns are a positive circuit
-    iff all but the last are linearly independent and the last one's step
-    finds a kernel.
+    A fold of `pivot_columns`, with no LP: the columns are a positive circuit
+    iff all but the last are linearly independent and the last one is a
+    combination of them with every coefficient strictly negative.
     """
     if not columns:
         return None
-    state: Optional[EliminationState] = elimination_state(len(columns[0]))
-    for column in columns[:-1]:
-        state, _ = circuit_step(state, column)
-        if state is None:
+    table = [list(c) for c in columns]
+    free, scale = len(table[0]), 1
+    while len(table) > 1:
+        column = table[0]
+        row = next((r for r in range(free) if column[r]), None)
+        if row is None:
             return None
-    return circuit_step(state, columns[-1], grow=False)[1]
+        table, scale = pivot_columns(table[1:], column, row, free, scale)
+        free -= 1
+    entries = table[0]
+    if any(entries[:free]) or max(entries[free:], default=-1) >= 0:
+        return None
+    # the inverse rows run from the latest prefix column back to the first
+    kernel = [-x for x in reversed(entries[free:])] + [scale]
+    g = gcd(*kernel)
+    return tuple(x // g for x in kernel)
 
 
 def _phase_one(

@@ -3,6 +3,7 @@ import sys
 import pytest
 
 import radrank
+import radrank.cones
 from modelgen import fresh_rng, random_model, random_spanning_model
 
 
@@ -27,6 +28,29 @@ def witness_rich_small(spanning_population):
         for m in spanning_population
         if len(m.ids()) <= 6 and radrank.validate(m).witness_rich
     )
+
+
+@pytest.fixture
+def walk_decisions(monkeypatch):
+    """The (prefix mask, index) pairs that `cones.principal_table`'s circuit
+    walk decides, in order, filled while the test runs.  The walk hands each
+    level of prefix states to `_decide_tableaux` or `_decide_signs`, and
+    those decide every index above each state's largest, so the pairs are
+    read off the states they are given."""
+    decided = []
+    for name in ("_decide_tableaux", "_decide_signs"):
+        real = getattr(radrank.cones, name)
+
+        def counted(count, *args, real=real):
+            decided.extend(
+                (prefix, i)
+                for prefix, last, *_ in args[-1]
+                for i in range(last + 1, count)
+            )
+            return real(count, *args)
+
+        monkeypatch.setattr(radrank.cones, name, counted)
+    return decided
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,12 +8,16 @@ check the union closures built around that LP, and the LP itself is checked
 against `frac_phase_one`.  `reay_by_lp` reads its chain off
 `longest_chain_by_dp`, the general longest-chain program, which shares
 nothing with the package's graded cover walk, and `rank_by_height` reads V
-off `v_by_lp`.  Keep inputs tiny.
+off `v_by_lp`.  `circuits_by_steps` is the circuit walk with each
+prefix's elimination rows kept, one `circuit_step` per decision, and
+`chain_by_full_scan` the cover walk with no narrowing.  Keep inputs tiny.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from operator import or_
+from itertools import chain, combinations, permutations, product
+from math import gcd, lcm
+from operator import mul, or_
+from typing import NamedTuple
 
 from radrank.cones import GeneratorSet, positively_spans_its_span
 from radrank.errors import PreconditionError, check_budget
@@ -612,3 +616,157 @@ def reay_by_lp(gens):
     )
     blocks = tuple(cur - prev for prev, cur in zip(chain, chain[1:]))
     return len(blocks), blocks
+
+
+class EliminationState(NamedTuple):
+    """Fraction-free Gauss-Jordan elimination of linearly independent integer
+    columns c_0, ..., c_(k-1) in Q^dim: row j of `inverse` takes c_j to
+    `scale` and every other c_i to 0, and the dim - k rows of `annihilator`
+    take every c_i to 0."""
+
+    scale: int
+    inverse: tuple[tuple[int, ...], ...]
+    annihilator: tuple[tuple[int, ...], ...]
+
+
+def elimination_state(dim):
+    """The elimination state of no columns in Q^dim."""
+    unit = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return EliminationState(1, (), unit)
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def circuit_step(state, column, grow=True):
+    """Add one column to the elimination of linearly independent columns,
+    keeping the rows themselves.
+
+    Returns (extended state, None) when the column is independent of the
+    state's columns; (None, kernel) when it is a combination of them with
+    every coefficient strictly negative, kernel being the primitive, strictly
+    positive kernel vector of the state's columns followed by this one; and
+    (None, None) otherwise.  With `grow` false an independent column gives
+    (None, None) too, with no pivot."""
+    scale, inverse, annihilator = state
+    for p, row in enumerate(annihilator):
+        alpha = sum(map(mul, row, column))
+        if alpha:
+            break
+    else:
+        # column = sum_j (inverse[j] . column / scale) c_j, a positive
+        # circuit iff every coefficient is strictly negative
+        kernel = []
+        for row in inverse:
+            x = sum(map(mul, row, column))
+            if x * scale >= 0:
+                return None, None
+            kernel.append(-x)
+        kernel.append(scale)
+        g = gcd(*kernel) if scale > 0 else -gcd(*kernel)
+        return None, tuple(x // g for x in kernel)
+    if not grow:
+        return None, None
+    # pivot on annihilator row p, which takes the column to alpha != 0
+    pivot = annihilator[p]
+    grown = []
+    for row in inverse:
+        x = sum(map(mul, row, column))
+        grown.append([alpha * a - x * b for a, b in zip(row, pivot)])
+    grown.append([scale * b for b in pivot])
+    g = gcd(alpha * scale, *chain.from_iterable(grown))
+    rest = []
+    for row in annihilator[p + 1:]:
+        x = sum(map(mul, row, column))
+        rest.append(
+            tuple(_primitive([alpha * a - x * b for a, b in zip(row, pivot)]))
+            if x else row
+        )
+    return EliminationState(
+        alpha * scale // g,
+        tuple(tuple(a // g for a in row) for row in grown),
+        annihilator[:p] + tuple(rest),
+    ), None
+
+
+def independent_prefixes(vecs):
+    """The linearly independent index tuples of vecs, the empty one first,
+    by size and then in sorted index order, as the circuit walk meets
+    them; a tuple is independent when its vectors' transposed echelon rank
+    is its size."""
+    found = [()]
+    for size in range(1, len(vecs) + 1):
+        grown = [
+            combo for combo in combinations(range(len(vecs)), size)
+            if echelon_rank_transposed([vecs[i] for i in combo]) == size
+        ]
+        if not grown:
+            break
+        found += grown
+    return found
+
+
+def decision_pairs(vecs):
+    """The (prefix mask, index) pairs the circuit walk decides, in its
+    order: each linearly independent prefix with each larger index."""
+    return [
+        (sum(1 << i for i in prefix), j)
+        for prefix in independent_prefixes(vecs)
+        for j in range(prefix[-1] + 1 if prefix else 0, len(vecs))
+    ]
+
+
+def circuits_by_steps(vecs):
+    """`principal_table`'s circuits by the walk that keeps each prefix's
+    rows: one `circuit_step` per (linearly independent prefix, larger
+    index), breadth-first, so in (size, sorted index) order.  The vectors
+    become integer columns by scaling each coordinate by the lcm of its
+    denominators."""
+    vecs = [[Fraction(x) for x in v] for v in vecs]
+    count = len(vecs)
+    rows = []
+    for row in zip(*vecs):
+        d = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+    cols = list(zip(*rows)) if rows else [()] * count
+    circuits = []
+    level = [(0, -1, elimination_state(len(cols[0]) if cols else 0))]
+    while level:
+        longer = []
+        for prefix, last, state in level:
+            for i in range(last + 1, count):
+                grown, kernel = circuit_step(state, cols[i])
+                if kernel is not None:
+                    circuits.append(prefix | 1 << i)
+                elif grown is not None:
+                    longer.append((prefix | 1 << i, i, grown))
+        level = longer
+    return tuple(circuits)
+
+
+def chain_by_full_scan(labels, is_closed):
+    """`longest_closed_chain`'s answer on a graded family by a full scan per
+    step: every closed set of the ascending list is tested for covering the
+    chain's top against every cover found before it."""
+    labels = sorted(labels)
+    count = len(labels)
+    check_budget(count, "the chain search over the labels")
+    full = (1 << count) - 1
+
+    def members(mask):
+        return tuple(labels[i] for i in range(count) if mask >> i & 1)
+
+    ascending = [mask for mask in range(full + 1) if is_closed(mask)]
+    if ascending[:1] != [0] or ascending[-1] != full:
+        raise PreconditionError("endpoints of the chain are not closed")
+    chain = [0]
+    while chain[-1] != full:
+        cur = chain[-1]
+        covers = []
+        for sup in ascending:
+            if sup & cur == cur != sup and all(low & ~sup for low in covers):
+                covers.append(sup)
+        chain.append(min(covers, key=members))
+    return tuple(frozenset(members(mask)) for mask in chain)

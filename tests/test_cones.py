@@ -3,9 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from modelgen import fresh_rng, random_invertible_matrix
+from modelgen import fresh_rng, random_invertible_matrix, random_spanning_model
 from oracles import (
+    chain_by_full_scan,
+    circuits_by_steps,
+    decision_pairs,
     echelon_rank_transposed,
+    independent_prefixes,
     least_longest_chain,
     longest_chain_by_dp,
     max_reay_by_enumeration,
@@ -15,21 +19,26 @@ from oracles import (
     subset_unions,
 )
 import radrank.cones
+import radrank.rank
 import radrank.ratlin
 from radrank import (
     GeneratorSet,
     PreconditionError,
     ResourceLimitError,
     extract_positive_basis,
+    gen_d1,
+    gen_d2,
+    gen_d3,
     is_positive_basis,
     linear_rank,
     max_weak_reay,
+    recover_rank,
 )
 from radrank.cones import (
     closed_flags, longest_closed_chain, masks_lacking, positively_spans_its_span,
     principal_table,
 )
-from radrank.ratlin import integer_columns, strict_zero_combination
+from radrank.ratlin import strict_zero_combination
 
 F = Fraction
 
@@ -328,19 +337,14 @@ class TestFactA:
 
 
 class TestMaxWeakReayLPCount:
-    """Only uncovered subsets of at most rank + 1 generators reach the
-    circuit step, and the only LP is the spanning precondition."""
+    """Only uncovered subsets of at most rank + 1 generators reach a walk
+    decision, and the only LP is the spanning precondition."""
 
     def _counted(self, monkeypatch):
-        circuits, spanning, sweep_lps, lps = [], [], [], []
-        real_step = radrank.cones.circuit_step
+        spanning, sweep_lps, lps = [], [], []
         real_spanning = radrank.cones.positively_spans_its_span
         real_szc = radrank.ratlin.strict_zero_combination
         real_phase_one = radrank.ratlin._phase_one
-
-        def counted_step(state, column, grow=True):
-            circuits.append(len(state.inverse) + 1)  # the tested subset's size
-            return real_step(state, column, grow)
 
         def counted_spanning(x):
             spanning.append(x)
@@ -354,43 +358,47 @@ class TestMaxWeakReayLPCount:
             lps.append(n)
             return real_phase_one(n, equations)
 
-        monkeypatch.setattr(radrank.cones, "circuit_step", counted_step)
         monkeypatch.setattr(radrank.cones, "positively_spans_its_span", counted_spanning)
         monkeypatch.setattr(radrank.ratlin, "strict_zero_combination", counted_szc)
         monkeypatch.setattr(radrank.ratlin, "_phase_one", counted_phase_one)
-        return circuits, spanning, sweep_lps, lps
+        return spanning, sweep_lps, lps
 
     @pytest.mark.parametrize("rank,bound", [(2, 9 + 36 + 84), (3, 9 + 36 + 84 + 126)])
-    def test_nine_vectors(self, monkeypatch, rank, bound):
+    def test_nine_vectors(self, monkeypatch, walk_decisions, rank, bound):
         rng = fresh_rng(salt=25 + rank)
         sets = []
         while len(sets) < 6:
             vecs = [tuple(F(rng.randint(-3, 3)) for _ in range(rank)) for _ in range(9)]
             if linear_rank(vecs) == rank and positively_spans_its_span(vecs):
                 sets.append(vecs)
-        circuits, spanning, sweep_lps, lps = self._counted(monkeypatch)
+        spanning, sweep_lps, lps = self._counted(monkeypatch)
         for vecs in sets:
-            del circuits[:], spanning[:], lps[:]
+            del walk_decisions[:], spanning[:], lps[:]
             max_weak_reay(vecs)
             assert len(spanning) == 1
-            assert 0 < len(circuits) <= bound
+            # each decision tests its prefix with one more generator
+            sizes = [bin(prefix).count("1") + 1 for prefix, _ in walk_decisions]
+            assert 0 < len(sizes) <= bound
             # the sweep reaches subsets of rank + 1 generators and no larger
-            assert max(circuits) == rank + 1
+            assert max(sizes) == rank + 1
+            # each (independent prefix, larger index) decided exactly once
+            assert walk_decisions == decision_pairs(vecs)
             assert len(lps) == 1
         assert sweep_lps == []
 
-    def test_budget_refusal_comes_before_the_sweep(self, monkeypatch):
-        circuits, spanning, sweep_lps, lps = self._counted(monkeypatch)
+    def test_budget_refusal_comes_before_the_sweep(self, monkeypatch, walk_decisions):
+        spanning, sweep_lps, lps = self._counted(monkeypatch)
         vecs = [(1,), (-1,)] * 6 + [(1,)]  # 13 generators
         with pytest.raises(ResourceLimitError, match="chain search.*WORK_BUDGET"):
             max_weak_reay(vecs)
         assert len(spanning) == 1
-        assert circuits == [] and sweep_lps == []
+        assert walk_decisions == [] and sweep_lps == []
 
 
 class TestPrincipalTable:
     """The circuit walk and the subset-union table against one LP per
-    subset, with every circuit step accounted for."""
+    subset, with every walk decision and pivot accounted for, and the walk
+    against the one that keeps each prefix's elimination rows."""
 
     SETS = [v for v in _reay_population(fresh_rng(salt=29), 400) if len(v) <= 8]
 
@@ -404,21 +412,20 @@ class TestPrincipalTable:
         ) >= 50
 
     def test_matches_one_lp_per_subset_and_steps_once_per_independent_prefix(
-        self, monkeypatch
+        self, monkeypatch, walk_decisions
     ):
-        calls = []
-        real_step = radrank.cones.circuit_step
+        pivots = []
+        real_pivot = radrank.cones.pivot_columns
 
-        def counted_step(state, column, grow=True):
-            calls.append((len(state.inverse), column, grow))
-            return real_step(state, column, grow)
+        def counted_pivot(later, column, row, free, scale):
+            pivots.append((len(later), free))
+            return real_pivot(later, column, row, free, scale)
 
-        monkeypatch.setattr(radrank.cones, "circuit_step", counted_step)
-        steps = 0
+        monkeypatch.setattr(radrank.cones, "pivot_columns", counted_pivot)
+        decisions = 0
         for vecs in self.SETS:
             count = len(vecs)
-            cols = integer_columns(vecs)
-            del calls[:]
+            del walk_decisions[:], pivots[:]
             closed, circuits = principal_table(vecs)
             # one flag per mask, the empty mask closed, even with no vectors
             assert type(closed) is bytes and len(closed) == 1 << count
@@ -440,23 +447,50 @@ class TestPrincipalTable:
                 f for f in family if not any(g & f == g != f for g in family)
             ]
             assert circuits == tuple(minimal)
-            # one step per (linearly independent prefix, larger index), the
-            # prefixes by size and then in sorted index order; only a step
-            # that a later index can extend grows the elimination
-            prefixes = [()] + [
-                combo for combo in combos
-                if echelon_rank_transposed([vecs[i] for i in combo]) == len(combo)
-            ]
-            want_calls = [
-                (len(prefix), cols[i], i + 1 < count)
+            # one decision per (linearly independent prefix, larger index),
+            # the prefixes by size and then in sorted index order
+            assert walk_decisions == decision_pairs(vecs)
+            prefixes = independent_prefixes(vecs)
+            assert all(len(p) <= echelon_rank_transposed(vecs) for p in prefixes)
+            # one pivot per longer prefix that a later index can extend and
+            # that leaves an annihilator row; a prefix that leaves none has
+            # its later columns decided by signs alone
+            dim = len(vecs[0]) if vecs else 0
+            assert pivots == [
+                (count - prefix[-1] - 1, dim - len(prefix) + 1)
                 for prefix in prefixes
-                for i in range(prefix[-1] + 1 if prefix else 0, count)
+                if prefix and prefix[-1] + 1 < count and len(prefix) < dim
             ]
-            assert calls == want_calls
-            most = echelon_rank_transposed(vecs)
-            assert all(len(prefix) <= most for prefix in prefixes)
-            steps += len(calls)
-        assert steps >= 4_000
+            decisions += len(walk_decisions)
+        assert decisions >= 4_000
+
+    def test_matches_the_walk_that_keeps_the_rows(self):
+        sets = _reay_population(fresh_rng(salt=38), 5_000)
+        # every shape the walk must get right, rank below dimension too
+        assert {len(v) for v in sets} == set(range(10))
+        assert {len(v[0]) for v in sets if v} == set(range(5))
+        assert sum(any(not any(x) for x in v) for v in sets) >= 500
+        assert sum(len(set(v)) < len(v) for v in sets) >= 500
+        assert sum(
+            any(tuple(-x for x in u) in v for u in v if any(u)) for v in sets
+        ) >= 500
+        assert sum(bool(v) and linear_rank(v) < len(v[0]) for v in sets) >= 500
+        # the last vector the negated sum of the others
+        assert sum(
+            len(v) > 1 and all(sum(c) == 0 for c in zip(*v)) and any(map(any, v))
+            for v in sets
+        ) >= 500
+        # in dimension 1 every size-2 circuit is decided by signs alone,
+        # and must still come after the zero vector's singleton
+        sets.append([(F(x),) for x in (-1, -3, 1, -3, 1, -3, 0)])
+        found = 0
+        for vecs in sets:
+            closed, circuits = principal_table(vecs)
+            want = circuits_by_steps(vecs)
+            assert circuits == want, vecs
+            self._check_against_list_table(len(vecs), want, closed)
+            found += len(circuits)
+        assert found >= 20_000
 
     @staticmethod
     def _check_against_list_table(count, circuits, closed):
@@ -569,6 +603,74 @@ class TestLongestClosedChain:
             assert got == want
             chains += got is not None
         assert chains >= 150
+
+
+class TestClosedChainScan:
+    """The cover walk that narrows its list of closed supersets against the
+    full scan per step, and its one `is_closed` call per mask."""
+
+    def test_calls_is_closed_once_per_mask(self):
+        rng = fresh_rng(salt=40)
+        for count in range(10):
+            labels = [f"g{i}" for i in range(count)]
+            spanning = [(F(1),), (F(-1),)] * (count // 2) + [(F(0),)] * (count % 2)
+            vecs = [tuple(F(rng.randint(-3, 3)) for _ in range(2)) for _ in range(count)]
+            if count > 1:
+                vecs[-1] = tuple(-sum(c) for c in zip(*vecs[:-1]))
+            families = [bytes([1]) * (1 << count), principal_table(spanning)[0]]
+            if positively_spans_its_span(vecs):
+                families.append(principal_table(vecs)[0])
+            for closed in families:
+                seen = []
+
+                def is_closed(mask):
+                    seen.append(mask)
+                    return closed[mask]
+
+                chain = longest_closed_chain(labels, is_closed)
+                assert chain == chain_by_full_scan(labels, closed.__getitem__)
+                assert sorted(seen) == list(range(1 << count))
+
+    def test_matches_the_full_scan_on_spanning_sets(self):
+        sets = [
+            v for v in _reay_population(fresh_rng(salt=41), 3_500)
+            if positively_spans_its_span(v)
+        ]
+        assert len(sets) >= 1_500
+        assert {len(v) for v in sets} == set(range(10))
+        for vecs in sets:
+            labels = [f"g{i}" for i in range(len(vecs))]
+            closed = principal_table(vecs)[0]
+            assert longest_closed_chain(labels, closed.__getitem__) == (
+                chain_by_full_scan(labels, closed.__getitem__)
+            )
+
+    def test_matches_the_full_scan_on_inverse_bases(
+        self, monkeypatch, spanning_population
+    ):
+        # recover_rank's chain runs over {} and the members of V inside its
+        # inverse basis δ
+        calls = []
+        real_chain = radrank.rank.longest_closed_chain
+
+        def captured(labels, is_closed):
+            calls.append((labels, is_closed))
+            return real_chain(labels, is_closed)
+
+        monkeypatch.setattr(radrank.rank, "longest_closed_chain", captured)
+        rng = fresh_rng(salt=42)
+        models = list(spanning_population)
+        models += [gen(k) for gen in (gen_d1, gen_d2, gen_d3) for k in range(3, 11)]
+        models += [
+            random_spanning_model(rng, min_primes=3, max_primes=9, ranks=range(5))
+            for _ in range(120)
+        ]
+        for m in models:
+            recover_rank(m)
+        assert len(calls) == len(models)
+        assert {len(labels) for labels, _ in calls} >= {0, 2, 3, 4, 5}
+        for labels, is_closed in calls:
+            assert real_chain(labels, is_closed) == chain_by_full_scan(labels, is_closed)
 
 
 class TestGeneratorSet:

@@ -13,8 +13,7 @@ from modelgen import (
     random_positive_scales,
     zero_model,
 )
-from oracles import int_exponent_zero, minimal_members, v_by_lp
-import radrank.cones
+from oracles import decision_pairs, int_exponent_zero, minimal_members, v_by_lp
 import radrank.model
 import radrank.ratlin
 from radrank import (
@@ -300,18 +299,14 @@ class TestEnumerateVAgainstLP:
 
 
 class TestEnumerateVLPCount:
-    """Only uncovered subsets of at most rank + 1 primes reach the circuit
-    step, and the sweep runs no LP."""
+    """Only uncovered subsets of at most rank + 1 primes reach a walk
+    decision, each (independent prefix, larger index) once, and the sweep
+    runs no LP."""
 
-    def _circuit_calls(self, monkeypatch, m):
-        calls, lps = [], []
-        real_step = radrank.cones.circuit_step
+    def _decided_sizes(self, monkeypatch, walk_decisions, m):
+        lps = []
         real_szc = radrank.model.strict_zero_combination
         real_phase_one = radrank.ratlin._phase_one
-
-        def counted_step(state, column, grow=True):
-            calls.append(len(state.inverse) + 1)  # the tested subset's size
-            return real_step(state, column, grow)
 
         def counted_szc(gens):
             lps.append(len(gens))
@@ -321,24 +316,25 @@ class TestEnumerateVLPCount:
             lps.append(n)
             return real_phase_one(n, equations)
 
-        monkeypatch.setattr(radrank.cones, "circuit_step", counted_step)
         monkeypatch.setattr(radrank.model, "strict_zero_combination", counted_szc)
         monkeypatch.setattr(radrank.ratlin, "_phase_one", counted_phase_one)
         enumerate_v(m)
         assert lps == []
-        return calls
+        assert walk_decisions == decision_pairs(m.vectors())
+        # each decision tests its prefix with one more prime
+        return [bin(prefix).count("1") + 1 for prefix, _ in walk_decisions]
 
-    def test_rank_one(self, monkeypatch):
-        calls = self._circuit_calls(monkeypatch, gen_d1(12))
-        assert 0 < len(calls) <= 12 + 66  # C(12, 1) + C(12, 2)
-        assert max(calls) == 2
+    def test_rank_one(self, monkeypatch, walk_decisions):
+        sizes = self._decided_sizes(monkeypatch, walk_decisions, gen_d1(12))
+        assert 0 < len(sizes) <= 12 + 66  # C(12, 1) + C(12, 2)
+        assert max(sizes) == 2
 
-    def test_rank_three(self, monkeypatch):
+    def test_rank_three(self, monkeypatch, walk_decisions):
         m = random_model(fresh_rng(salt=34), 12, 12, ranks=(3,))
         assert linear_rank(m.vectors()) == 3
-        calls = self._circuit_calls(monkeypatch, m)
-        assert 0 < len(calls) <= 12 + 66 + 220 + 495  # sum of C(12, k), k <= 4
-        assert max(calls) == 4
+        sizes = self._decided_sizes(monkeypatch, walk_decisions, m)
+        assert 0 < len(sizes) <= 12 + 66 + 220 + 495  # sum of C(12, k), k <= 4
+        assert max(sizes) == 4
 
 
 class TestValidate:

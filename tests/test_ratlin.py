@@ -7,7 +7,9 @@ import pytest
 
 from oracles import (
     circuit_by_rref,
+    circuit_step,
     echelon_rank_transposed,
+    elimination_state,
     fm_cone_member,
     fm_strict_zero,
     frac_cone_member,
@@ -30,7 +32,7 @@ from radrank import (
     smith_normal_form,
     strict_zero_combination,
 )
-from radrank.ratlin import circuit_step, elimination_state
+from radrank.ratlin import pivot_columns
 
 F = Fraction
 
@@ -312,9 +314,9 @@ class TestPositiveCircuit:
 
 
 class TestCircuitStep:
-    """One elimination step against the transposed echelon rank and the
-    Fraction RREF nullspace, on every independent prefix of seeded integer
-    columns and every next column."""
+    """The oracle's elimination step, which keeps the rows, against the
+    transposed echelon rank and the Fraction RREF nullspace, on every
+    independent prefix of seeded integer columns and every next column."""
 
     @staticmethod
     def _columns(rng, dim, count):
@@ -395,6 +397,50 @@ class TestCircuitStep:
                 state, _ = circuit_step(state, cols[len(prefix)])
                 prefix.append(cols[len(prefix)])
         assert min(counts.values()) >= 2_000, counts
+
+
+class TestPivotColumns:
+    """The carried tableau against the oracle's elimination, which keeps
+    the rows: after each independent prefix is pivoted in, a later column's
+    first `free` entries vanish iff the oracle's annihilator rows take it
+    to 0, and then its inverse entries over the scale are its coefficients
+    on the prefix columns."""
+
+    def test_matches_the_elimination_that_keeps_the_rows(self):
+        rng = fresh_rng(salt=39)
+        counts = {"dependent": 0, "independent": 0}
+
+        def dot(row, col):
+            return sum(a * b for a, b in zip(row, col))
+
+        for _ in range(1_500):
+            dim = rng.randrange(0, 5)
+            cols = TestCircuitStep._columns(rng, dim, rng.randrange(1, 8))
+            table, free, scale = [list(c) for c in cols], dim, 1
+            state, k = elimination_state(dim), 0
+            while table:
+                # the tableau holds the columns after the first k
+                assert scale > 0 and len(table) == len(cols) - k
+                for col, entries in zip(cols[k:], table):
+                    assert len(entries) == dim
+                    dependent = not any(entries[:free])
+                    assert dependent == (not any(dot(r, col) for r in state.annihilator))
+                    if not dependent:
+                        counts["independent"] += 1
+                        continue
+                    counts["dependent"] += 1
+                    # the inverse rows run from the latest column back
+                    assert [F(x, scale) for x in reversed(entries[free:])] == [
+                        F(dot(r, col), state.scale) for r in state.inverse
+                    ]
+                column = table[0]
+                row = next((r for r in range(free) if column[r]), None)
+                if row is None:
+                    break
+                table, scale = pivot_columns(table[1:], column, row, free, scale)
+                state, _ = circuit_step(state, cols[k])
+                free, k = free - 1, k + 1
+        assert min(counts.values()) >= 3_000, counts
 
 
 class TestLinearRank:
