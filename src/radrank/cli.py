@@ -18,9 +18,8 @@ import json
 import os
 import sys
 import time
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import is_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import claborn, rank as rank_ops, semilattice
@@ -28,7 +27,7 @@ from .cones import GeneratorSet, max_weak_reay
 from .errors import ModelFormatError
 from .model import (
     Model, dumps_model, enumerate_v, loads_json, loads_model, model_to_dict,
-    read_text, v_id_tuples, v_membership, validate,
+    read_text, v_joined, v_membership, validate,
 )
 from .ratlin import parse_vector
 
@@ -70,29 +69,63 @@ def _parse_support(text: str) -> list[str]:
     return ids
 
 
-def _put_json(value: object, indent: str, out: list[str], memo: dict) -> None:
+class _Members:
+    """Members of V as a report value, the array of their sorted id arrays in
+    `enumerate_v` order: all of V when `star` is None, else that star.  Each
+    member's text is made once per key by one `v_joined` pass: all of V keeps
+    {key: texts in order}, and a report's stars share {key: {member: text}}."""
+
+    __slots__ = ("m", "star", "texts")
+
+    def __init__(self, m: Model, star=None, texts=None) -> None:
+        self.m, self.star, self.texts = m, star, {} if texts is None else texts
+
+    def __len__(self) -> int:
+        return len(enumerate_v(self.m) if self.star is None else self.star)
+
+    def joined(self, key, items, join) -> Iterable[str]:
+        """The texts, `join` of each member's `items` (parallel to the ids)."""
+        known = self.texts.get(key)
+        if known is None:
+            known = v_joined(self.m, items, join)
+            if self.star is not None:
+                known = dict(zip(enumerate_v(self.m), known))
+            self.texts[key] = known
+        return known if self.star is None else map(known.__getitem__, self.star)
+
+    def lines(self) -> Iterator[str]:
+        """The texts `{P0,P1}` of the text output, made when first read."""
+        yield from self.joined(None, self.m.ids(), _ids_text)
+
+
+def _put_json(value: object, indent: str, out: list[str]) -> None:
     """Append the text of `value` at `indent` to `out`.  A list of strings is
-    one C-level join.  Any other list looks its items up in `memo[inner]`,
-    the {id: text} of the lists of strings already written as list items at
-    its inner indent, in one C-level pass; each such item not met yet is
-    encoded in place and kept.  When every item then has its text, the texts
-    go to `out` in one C-level pass too, with no joined copy; otherwise the
-    items without one are visited.  Not a closure: one that calls itself is
-    a reference cycle, which keeps each report's pieces alive until the
-    cycle collector runs."""
+    one C-level join; members of V are their texts, each made once per
+    indent from the encoded ids, and the separators between them, in one
+    C-level pass.  Not a closure: one that calls itself is a reference
+    cycle, which keeps each report's pieces alive until the collector runs."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
         return
-    if not value or not isinstance(value, (dict, list, tuple)):
-        out.append(json.dumps(value))
-        return
     inner = indent + "  "
+    if isinstance(value, _Members) and value:
+        deeper = inner + "  "
+        ids = tuple(map(encode_basestring_ascii, value.m.ids()))
+        texts = value.joined(inner, ids, (",\n" + deeper).join)
+        between = "\n" + inner + "],\n" + inner + "[\n" + deeper
+        out.append("[\n" + inner + "[\n" + deeper)
+        out += islice(chain.from_iterable(zip(repeat(between), texts)), 1, None)
+        out.append("\n" + inner + "]\n" + indent + "]")
+        return
+    if not value or not isinstance(value, (dict, list, tuple)):
+        out.append("[]" if isinstance(value, _Members) else json.dumps(value))
+        return
     sep = ",\n" + inner
     if isinstance(value, dict):
         out.append("{\n" + inner)
         for n, (key, item) in enumerate(value.items()):
             out.append((sep if n else "") + encode_basestring_ascii(key) + ": ")
-            _put_json(item, inner, out, memo)
+            _put_json(item, inner, out)
         out.append("\n" + indent + "}")
         return
     head, tail = "[\n" + inner, "\n" + indent + "]"
@@ -101,32 +134,11 @@ def _put_json(value: object, indent: str, out: list[str], memo: dict) -> None:
         return
     except TypeError:  # an item is not a string
         pass
-    known = memo.setdefault(inner, {})
-    texts = list(map(known.get, map(id, value)))
-    # the text of a list of strings at the inner indent
-    deeper = inner + "  "
-    item_head, join = "[\n" + deeper, (",\n" + deeper).join
-    item_tail = "\n" + inner + "]"
-    for i in compress(range(len(texts)), map(is_, texts, repeat(None))):
-        item = value[i]
-        if item and isinstance(item, (list, tuple)):
-            try:
-                texts[i] = known[id(item)] = (
-                    item_head + join(map(encode_basestring_ascii, item)) + item_tail
-                )
-            except TypeError:  # an item of the item is not a string
-                pass
     out.append(head)
-    if None in texts:
-        for n, (item, text) in enumerate(zip(value, texts)):
-            if n:
-                out.append(sep)
-            if text is None:
-                _put_json(item, inner, out, memo)
-            else:
-                out.append(text)
-    else:  # the texts and separators, in one C-level pass
-        out += islice(chain.from_iterable(zip(repeat(sep), texts)), 1, None)
+    for n, item in enumerate(value):
+        if n:
+            out.append(sep)
+        _put_json(item, inner, out)
     out.append(tail)
 
 
@@ -135,12 +147,10 @@ def _json_text(value: object) -> str:
     strings and scalars.  json runs its pure-Python encoder whenever `indent`
     is set; here strings go through its C `encode_basestring_ascii`, and the
     pieces are joined once at the end, as json does, with no large
-    intermediate strings.  The memo holds list items only, keyed per (inner
-    indent, object): every object stays alive and unchanged for the call, so
-    a list of strings met again as an item at the same indent, as a member
-    of V is in each of its `mprop` stars, is encoded once."""
+    intermediate strings.  A `_Members` value is written as the array of
+    sorted id arrays it stands for."""
     out: list[str] = []
-    _put_json(value, "", out, {})
+    _put_json(value, "", out)
     return "".join(out)
 
 
@@ -181,10 +191,9 @@ def _cmd_v_member(ns) -> tuple[int, dict, list[str], list[str]]:
 
 def _cmd_enumerate_v(ns) -> tuple[int, dict, Iterable[str], list[str]]:
     m, text = _load(ns.model)
-    members = v_id_tuples(m)
+    members = _Members(m)
     results = {"members": members, "count": len(members)}
-    lines = map(_ids_text, members)
-    return 0, results, lines, ["enumerate-v", text]
+    return 0, results, members.lines(), ["enumerate-v", text]
 
 
 def _cmd_coprime(ns) -> tuple[int, dict, list[str], list[str]]:
@@ -206,25 +215,14 @@ def _cmd_coprime(ns) -> tuple[int, dict, list[str], list[str]]:
 
 def _cmd_mprop(ns) -> tuple[int, dict, Iterable[str], list[str]]:
     m, text = _load(ns.model)
+    texts: dict = {}
     # the stars come as nu(P) in id order, so each is named by its own prime
-    families = list(zip(m.ids(), semilattice.mprop(m)))
-    # one sorted id tuple per member of V, shared by every star through it
-    ids = dict(zip(enumerate_v(m), v_id_tuples(m)))
-    results = {
-        "families": [
-            {"prime": prime, "members": [ids[s] for s in family]}
-            for prime, family in families
-        ]
-    }
-    return 0, results, _mprop_lines(families, ids), ["mprop", text]
-
-
-def _mprop_lines(families, ids) -> Iterator[str]:
-    """The text of `mprop`, one line per star.  Each member's `{...}` is
-    built once, from its sorted ids, and shared by the stars through it."""
-    texts = dict(zip(ids, map(_ids_text, ids.values())))
-    for prime, family in families:
-        yield f"{prime}: " + " ".join(map(texts.__getitem__, family))
+    families = [
+        {"prime": prime, "members": _Members(m, star, texts)}
+        for prime, star in zip(m.ids(), semilattice.mprop(m))
+    ]
+    lines = (f"{f['prime']}: " + " ".join(f["members"].lines()) for f in families)
+    return 0, {"families": families}, lines, ["mprop", text]
 
 
 def _cmd_inv(ns) -> tuple[int, dict, list[str], list[str]]:
@@ -237,8 +235,8 @@ def _cmd_inv(ns) -> tuple[int, dict, list[str], list[str]]:
         "inverses": sorted(enum_side),
         "agreement": enum_side == cone_side,
     }
-    lines = [f"inv({_support_text(delta)}) = {_support_text(enum_side)}"]
-    return 0, results, lines, ["inv", *sorted(set(delta)), text]
+    lines = [f"inv({_ids_text(results['delta'])}) = {_support_text(enum_side)}"]
+    return 0, results, lines, ["inv", *results["delta"], text]
 
 
 def _cmd_rank(ns) -> tuple[int, dict, list[str], list[str]]:

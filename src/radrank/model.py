@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, compress
-from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ModelFormatError, check_budget
 from .ratlin import (
@@ -144,8 +144,8 @@ def enumerate_v(m: Model) -> tuple[Support, ...]:
     flags and enters the members into V's {support: mask} index; then
     `v_membership` is asked about each subset of that size, one call per
     subset, which the index answers.  One key keeps V, that index, the
-    circuits' masks and each size's flags, from which `v_id_tuples` reads
-    the members' sorted id tuples; it is set while the pass runs and
+    circuits' masks and each size's flags, from which `v_joined` writes
+    each member's text in the reports; it is set while the pass runs and
     dropped if the pass raises, so no partial V stays on the model.
     """
     ids = m.ids()
@@ -185,15 +185,14 @@ def v_index(m: Model) -> dict[Support, int]:
     return m._cache["V"][1]
 
 
-def v_id_tuples(m: Model) -> tuple[tuple[PrimeId, ...], ...]:
-    """`enumerate_v(m)` with each member as its sorted id tuple, in the same
-    order: one C-level pass per size over the combinations of the ids and
-    the flags `enumerate_v` kept, made per call, so that only the commands
-    that report members build the tuples."""
+def v_joined(m: Model, items: Sequence, join: Callable) -> tuple:
+    """`enumerate_v(m)` with each member as `join` of its primes' `items`, a
+    sequence parallel to `m.ids()`, in the same order: one C-level pass per
+    size over the combinations of the items and the flags `enumerate_v`
+    kept.  `v_joined(m, m.ids(), tuple)` gives the members' sorted id tuples."""
     enumerate_v(m)
-    ids = m.ids()
     return tuple(chain.from_iterable(
-        compress(combinations(ids, size), flags)
+        map(join, compress(combinations(items, size), flags))
         for size, flags in enumerate(m._cache["V"][3], 1)
     ))
 

@@ -10,9 +10,9 @@ import pytest
 
 from modelgen import fresh_rng, random_model, zero_model
 from radrank import (
-    enumerate_v, gen_d1, gen_d2, gen_d3, loads_model, nu, save_model, validate,
+    Model, enumerate_v, gen_d1, gen_d2, gen_d3, loads_model, nu, save_model, validate,
 )
-from radrank.cli import _digest, _json_text, build_parser, main
+from radrank.cli import _Members, _digest, _json_text, build_parser, main
 
 
 @pytest.fixture
@@ -37,6 +37,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def signed_model(ids, signs=(1, -1)):
+    """A rank-1 model whose classes cycle through `signs` in the ids' order."""
+    return Model(1, [(pid, [signs[i % len(signs)]]) for i, pid in enumerate(ids)])
+
+
+def ids_text(sorted_ids):
+    return "{" + ",".join(sorted_ids) + "}"
 
 
 def witness_rich_random():
@@ -186,6 +195,13 @@ class TestRankCommands:
         code, out, _ = run(capsys, "inv", d1_file, "P0")
         assert code == 0
         assert out.strip() == "inv({P0}) = {P1,P3}"
+
+    def test_inv_names_delta_once_and_sorted(self, capsys, d1_file):
+        code, out, _ = run(capsys, "inv", d1_file, "P2", "P0", "P2", "P0")
+        assert code == 0
+        assert out == "inv({P0,P2}) = {P1,P3}\n"
+        _, report, _ = run(capsys, "inv", "--json", d1_file, "P2", "P0", "P2", "P0")
+        assert json.loads(report)["results"]["delta"] == ["P0", "P2"]
 
     def test_rank(self, capsys, d1_file):
         code, out, _ = run(capsys, "rank", d1_file)
@@ -453,8 +469,7 @@ class Sub(str):
     pass
 
 
-# one list object placed many times, as the stars of an mprop report share
-# each member's list
+# one list object placed many times
 SHARED = ["P0", "P1"]
 # lists met first inside a list of lists, then again at the same indent or
 # at another one
@@ -578,34 +593,75 @@ class TestReportWriter:
             "rank", "iso", "extend-iso", "gen", "reay",
         }
 
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
     @pytest.mark.parametrize(
         "command,model",
         [
             ("mprop", gen_d2(12)),
             ("mprop", witness_rich_random()),
             ("enumerate-v", gen_d1(12)),
+            ("mprop", signed_model(ODD_IDS)),
+            ("enumerate-v", signed_model(ODD_IDS)),
         ],
-        ids=["mprop-d2-12", "mprop-random-11", "enumerate-v-d1-12"],
+        ids=["mprop-d2-12", "mprop-random-11", "enumerate-v-d1-12", "mprop-odd-ids",
+             "enumerate-v-odd-ids"],
     )
-    def test_v_sized_reports(self, capsys, tmp_path, command, model):
+    def test_v_sized_reports(self, capsys, tmp_path, command, model, as_json):
         path = tmp_path / "m.json"
         save_model(model, str(path))
-        members = enumerate_v(loads_model(path.read_text()))
+        members = [sorted(s) for s in enumerate_v(loads_model(path.read_text()))]
+        stars = [(p, [s for s in members if p in s]) for p in model.ids()]
         if command == "mprop":
-            results = {"families": [
-                {"prime": p, "members": [sorted(s) for s in members if p in s]}
-                for p in model.ids()
-            ]}
+            results = {"families": [{"prime": p, "members": star} for p, star in stars]}
+            lines = [f"{p}: " + " ".join(map(ids_text, star)) for p, star in stars]
         else:
-            results = {"members": [sorted(s) for s in members], "count": len(members)}
+            results = {"members": members, "count": len(members)}
+            lines = list(map(ids_text, members))
         report = {
             "command": command,
             "inputs": {"digest": _digest([command, path.read_text()])},
             "results": results,
         }
-        code, out, _ = run(capsys, command, "--json", str(path))
+        if as_json:
+            code, out, _ = run(capsys, command, "--json", str(path))
+            want = json.dumps(report, indent=2) + "\n"
+        else:
+            code, out, _ = run(capsys, command, str(path))
+            want = "".join(line + "\n" for line in lines)
         assert code == 0
-        assert out == json.dumps(report, indent=2) + "\n"
+        # as lists of lines, which pytest tells apart by the first that
+        # differs, where a diff of two ~3.6 MB strings would take minutes
+        assert out.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+    def test_members_at_two_indents_and_as_text(self):
+        m = signed_model(self.ODD_IDS)
+        members = [sorted(s) for s in enumerate_v(m)]
+        star = tuple(s for s in enumerate_v(m) if self.ODD_IDS[0] in s)
+        texts = {}
+        value = {"a": _Members(m, star, texts), "b": [{"c": _Members(m, star, texts)}]}
+        stars = [sorted(s) for s in star]
+        assert _json_text(value) == json.dumps({"a": stars, "b": [{"c": stars}]}, indent=2)
+        assert list(_Members(m, star, texts).lines()) == list(map(ids_text, stars))
+        whole = _Members(m)
+        assert _json_text([whole, whole]) == json.dumps([members, members], indent=2)
+        assert list(whole.lines()) == list(map(ids_text, members))
+
+    def test_empty_v(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        # no class is negative, so no positive combination vanishes
+        save_model(signed_model(self.ODD_IDS, signs=(1, 2)), str(path))
+        code, out, _ = run(capsys, "enumerate-v", "--json", str(path))
+        assert code == 0
+        assert out == json.dumps({
+            "command": "enumerate-v",
+            "inputs": {"digest": _digest(["enumerate-v", path.read_text()])},
+            "results": {"members": [], "count": 0},
+        }, indent=2) + "\n"
+        assert run(capsys, "enumerate-v", str(path)) == (0, "", "")
+        for argv in (["mprop", "--json", str(path)], ["mprop", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "witness-rich" in err
 
 
 class TestOneParserPerProcess:

@@ -36,7 +36,7 @@ from radrank import (
     v_membership,
     validate,
 )
-from radrank.model import loads_json, v_circuits, v_id_tuples
+from radrank.model import loads_json, v_circuits, v_joined
 
 F = Fraction
 
@@ -265,7 +265,7 @@ class TestEnumerateVAgainstLP:
         verdicts = v_by_lp(m)
         members = enumerate_v(m)
         assert members == tuple(s for s, ok in verdicts.items() if ok)
-        assert v_id_tuples(m) == tuple(tuple(sorted(s)) for s in members)
+        assert v_joined(m, m.ids(), tuple) == tuple(tuple(sorted(s)) for s in members)
         ids = m.ids()
         assert v_circuits(m) == tuple(
             sum(1 << ids.index(p) for p in c) for c in minimal_members(members)
