@@ -13,19 +13,20 @@ bit-sliced: one 2^n-bit int per generator, n^2 big-int operations in all.
 `enumerate_v` and the weak Reay chain both read the flags.
 Partitions are represented by their chains of prefix unions.  The closed sets
 are graded, so the maximum-cardinality search walks up least covers, each
-step scanning only the closed sets above the chain's top; its 2^n predicate
-calls cap the practical size at a dozen generators.
+step finding them among the closed sets above the chain's top with the same
+bit-sliced passes on one 2^n-bit int; its 2^n predicate calls cap the
+practical size at a dozen generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DimensionError, PreconditionError, check_budget
 from .ratlin import (
-    Vector, cone_member, integer_columns, linear_rank, pivot_columns, vec,
+    Vector, _scaled, cone_member, integer_columns, linear_rank, pivot_columns, vec,
 )
 
 
@@ -86,10 +87,12 @@ def _vectors(x: Generators) -> tuple[Vector, ...]:
 def positively_spans_its_span(x: Generators) -> bool:
     """True iff the nonnegative hull of x equals the linear span of x.
 
-    One LP: is -(sum of x) in that hull?  Empty x counts as spanning.
+    One LP: is -(sum of x) in that hull?  Each coordinate of the sum is one
+    integer sum over the row scaled to integers.  Empty x counts as spanning.
     """
     vecs = _vectors(x)
-    return not vecs or cone_member([-sum(col) for col in zip(*vecs)], vecs)[0]
+    target = [Fraction(-sum(ints), d) for ints, d in map(_scaled, zip(*vecs))]
+    return not vecs or cone_member(target, vecs)[0]
 
 
 def positively_spans_rank(vecs: Sequence[Vector], rank: int) -> bool:
@@ -245,6 +248,7 @@ def masks_lacking(count: int) -> list[int]:
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_FLAG_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def closed_flags(count: int, circuits: Sequence[int]) -> bytes:
@@ -282,49 +286,55 @@ def longest_closed_chain(
     """Longest strictly increasing chain of closed sets from {} to all labels.
 
     `is_closed` is called once per subset, given as an int mask whose bit i
-    stands for sorted(labels)[i]; it must accept the empty set and the full
-    set.  The closed sets must be graded, so that every maximal chain is a
-    longest one.  Both callers pass {} and the principal subsets of a set
-    that positively spans its span, which are graded (Reay 1965):
-    `max_weak_reay` checks spanning first, and `recover_rank`'s inverse
-    basis spans by definition.  Each step takes the least cover (comparing
-    sorted label tuples), so the chain is the lexicographically least
-    longest one.  A step scans only the closed strict supersets of the
-    chain's top, a list it narrows to those of the new top.  Refuses more
-    than WORK_BUDGET labels.
+    stands for sorted(labels)[i], and returns a bool (or 0 or 1); it must
+    accept the empty set and the full set.  The closed sets must be graded,
+    so that every maximal chain is a longest one.  Both callers pass {} and
+    the principal subsets of a set that positively spans its span, which
+    are graded (Reay 1965): `max_weak_reay` checks spanning first, and
+    `recover_rank`'s inverse basis spans by definition.  Each step takes the
+    least cover (comparing sorted label tuples), so the chain is the
+    lexicographically least longest one; on any other family it is still
+    the chain of least covers.  Refuses more than WORK_BUDGET labels.
+
+    The answers become one 2^n-bit int, `above`: the closed strict
+    supersets of the chain's top.  Its covers are its sets that are no
+    strict superset of another: adding each free index to the sets lacking
+    it, then the subset-union pass of `closed_flags`, gives those strict
+    supersets.  The covers form an antichain, so the least one holds the
+    lowest index in which two of them differ: keeping those that hold it,
+    index by index, leaves only it.  `above` then keeps its supersets.
     """
     labels = sorted(labels)
     count = len(labels)
     check_budget(count, "the chain search over the labels")
     full = (1 << count) - 1
-
-    def members(mask: int) -> tuple[str, ...]:
-        return tuple(labels[i] for i in range(count) if mask >> i & 1)
-
-    masks = range(full + 1)
-    above = list(compress(masks, map(is_closed, masks)))
-    if above[:1] != [0] or above[-1] != full:
+    flags = bytes(map(is_closed, range(full + 1)))
+    above = int(flags[::-1].translate(_FLAG_BITS), 2)
+    if not above & 1 or not above >> full & 1:
         raise PreconditionError("endpoints of the chain are not closed")
-
-    # `above` holds the closed strict supersets of the chain's top, in
-    # ascending order.  sup covers the top iff no closed set lies strictly
-    # between them; such a set is a proper subset of sup, so a smaller
-    # number, and the ascending scan has met it, or a cover inside it,
-    # already
+    # (sets lacking i, sets holding i, bit i) for each index not in the top
+    free = [(low, ~low, 1 << i) for i, low in enumerate(masks_lacking(count))]
     chain = [0]
-    del above[0]
+    above ^= 1
     while above:
-        covers: list[int] = []
-        for sup in above:
-            for low in covers:
-                if not low & ~sup:
-                    break
-            else:
-                covers.append(sup)
-        top = min(covers, key=members)
+        up = 0
+        for low, _, bit in free:
+            up |= (above & low) << bit
+        for low, _, bit in free:
+            up |= (up & low) << bit
+        covers = above & ~up
+        for _, has, _ in free:
+            covers = covers & has or covers
+        top = covers.bit_length() - 1
         chain.append(top)
-        above = [sup for sup in above if sup & top == top != sup]
-    return tuple(frozenset(members(mask)) for mask in chain)
+        for _, has, bit in free:
+            if top & bit:
+                above &= has
+        above ^= 1 << top
+        free = [step for step in free if not top & step[2]]
+    return tuple(
+        frozenset(l for i, l in enumerate(labels) if mask >> i & 1) for mask in chain
+    )
 
 
 def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
@@ -341,7 +351,7 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
     gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(x)
     if len(gens) == 0:
         return 0, ()
-    if not positively_spans_its_span(gens.vectors):
+    if not positively_spans_its_span(gens):
         raise PreconditionError("generators do not positively span their span")
     vecs = gens.vectors
     check_budget(len(vecs), "the chain search over the labels")

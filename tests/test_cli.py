@@ -175,11 +175,13 @@ class TestFamilies:
         save_model(model, str(path))
         code, out, _ = run(capsys, "mprop", str(path))
         assert code == 0
-        want = "".join(
+        # lines, not one string: a failure names the first differing line
+        # at once, where a diff of two 680 KB strings runs for minutes
+        want = [
             f"{p}: " + " ".join("{" + ",".join(sorted(s)) + "}" for s in nu(model, p)) + "\n"
             for p in model.ids()
-        )
-        assert out == want
+        ]
+        assert out.splitlines(keepends=True) == want
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_refusal(self, capsys, d3_file):

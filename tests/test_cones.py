@@ -85,6 +85,55 @@ class TestPositivelySpans:
             ]
             assert positively_spans_its_span(mapped) == verdict
 
+    def test_matches_the_negation_oracle_on_large_denominators(self):
+        # 0-6 vectors in dimension 0-4 from a span of at most the dimension,
+        # entries with denominators up to 2^20, with zero vectors, v/-v
+        # pairs and repeats; a third end in the negated sum of the others
+        rng = fresh_rng(salt=21)
+
+        def rational():
+            return F(rng.randint(-(1 << 20), 1 << 20), rng.randint(1, 1 << 20))
+
+        verdicts, shapes = [], set()
+        zero = pairs = repeats = 0
+        for _ in range(600):
+            dim = rng.randint(0, 4)
+            basis = [
+                tuple(rational() for _ in range(dim))
+                for _ in range(rng.randint(min(dim, 1), dim))
+            ]
+            vecs = []
+            for _ in range(rng.randint(0, 6)):
+                draw = rng.random()
+                if vecs and draw < 0.15:
+                    vecs.append(rng.choice(vecs))
+                elif vecs and draw < 0.3:
+                    vecs.append(tuple(-x for x in rng.choice(vecs)))
+                elif draw < 0.4 or not basis:
+                    vecs.append(tuple(F(0) for _ in range(dim)))
+                else:
+                    coeffs = [rational() for _ in basis]
+                    vecs.append(tuple(
+                        sum(c * b[d] for c, b in zip(coeffs, basis)) for d in range(dim)
+                    ))
+            if len(vecs) > 1 and rng.random() < 0.35:
+                scale = abs(rational()) + F(1, 1 << 20)
+                vecs[-1] = tuple(-scale * sum(v[d] for v in vecs[:-1]) for d in range(dim))
+            verdict = positively_spans_its_span(vecs)
+            assert verdict == spans_by_negations(vecs)
+            assert positively_spans_its_span(GeneratorSet.from_vectors(vecs)) == verdict
+            verdicts.append((verdict, any(map(any, vecs))))
+            shapes.add((dim, len(vecs)))
+            zero += any(not any(v) for v in vecs)
+            pairs += any(tuple(-x for x in v) in vecs for v in vecs if any(v))
+            repeats += len(set(vecs)) < len(vecs)
+        # (spans, holds a nonzero vector)
+        assert verdicts.count((True, True)) >= 150
+        assert verdicts.count((False, True)) >= 150
+        assert zero >= 250 and pairs >= 50 and repeats >= 200
+        assert {dim for dim, _ in shapes} == set(range(5))
+        assert {count for _, count in shapes} == set(range(7))
+
 
 class TestIsPositiveBasis:
     def test_line_pair(self):
@@ -605,9 +654,77 @@ class TestLongestClosedChain:
         assert chains >= 150
 
 
+def _chain_families(rng, count):
+    """`count` (labels, is_closed, closed masks) triples of 0-10 labels,
+    taking turns among four kinds: each mask closed at a random density, so
+    mostly neither graded nor union-closed; the union closure of a few random
+    masks, union-closed but mostly not graded; every mask of a random set of
+    sizes, graded but mostly not union-closed; and the density kind again with
+    a few labels.  `is_closed` alternates between 0/1 flags and bools."""
+    families = []
+    for turn in range(count):
+        kind = turn % 4
+        n = rng.randint(0, 5) if kind == 3 else rng.randint(0, 10)
+        full = (1 << n) - 1
+        if kind == 1:
+            spans = rng.sample(range(full + 1), min(full + 1, rng.randint(1, 6)))
+            inside = subset_unions(n, spans)
+            closed = {mask for mask in range(full + 1) if inside[mask] == mask}
+        elif kind == 2:
+            sizes = set(rng.sample(range(n + 1), rng.randint(0, n + 1)))
+            closed = {mask for mask in range(full + 1) if mask.bit_count() in sizes}
+        else:
+            density = rng.random()
+            closed = {mask for mask in range(full + 1) if rng.random() < density}
+        closed |= {0, full}
+        flags = bytes(mask in closed for mask in range(full + 1))
+        is_closed = flags.__getitem__ if turn % 2 else closed.__contains__
+        labels = rng.sample([f"x{i}" for i in range(12)], n)
+        families.append((labels, is_closed, closed))
+    return families
+
+
 class TestClosedChainScan:
-    """The cover walk that narrows its list of closed supersets against the
-    full scan per step, and its one `is_closed` call per mask."""
+    """The bit-sliced cover walk against the full scan per step, and its one
+    `is_closed` call per mask."""
+
+    def test_matches_the_full_scan_on_any_family(self):
+        families = _chain_families(fresh_rng(salt=43), 5_000)
+        assert {len(labels) for labels, *_ in families} == set(range(11))
+        not_union_closed = not_graded = neither = 0
+        for labels, is_closed, closed in families:
+            seen = []
+
+            def counted(mask):
+                seen.append(mask)
+                return is_closed(mask)
+
+            chain = longest_closed_chain(labels, counted)
+            assert sorted(seen) == list(range(1 << len(labels)))
+            assert chain == chain_by_full_scan(labels, is_closed)
+            unions = any(a | b not in closed for a in closed for b in closed)
+            # a chain of least covers shorter than the longest one shows
+            # the family is not graded
+            short = len(labels) <= 8 and len(chain) < len(
+                longest_chain_by_dp(labels, is_closed)
+            )
+            not_union_closed += unions
+            not_graded += short
+            neither += unions and short
+        assert not_union_closed >= 1_500
+        assert not_graded >= 500
+        assert neither >= 350
+
+    def test_refuses_thirteen_labels_before_any_call(self):
+        seen = []
+
+        def is_closed(mask):
+            seen.append(mask)
+            return True
+
+        with pytest.raises(ResourceLimitError, match="chain search.*WORK_BUDGET"):
+            longest_closed_chain([f"g{i:02d}" for i in range(13)], is_closed)
+        assert seen == []
 
     def test_calls_is_closed_once_per_mask(self):
         rng = fresh_rng(salt=40)

@@ -1,7 +1,9 @@
-"""The benchmark's recorded `enumerate-v` and `mprop` jobs, replayed: each
-input is rebuilt from `bench/workloads.py`, and each job must give the exit
-code and report digest recorded in `bench/golden.json`, so the bytes of the
-V-sized reports are checked without running the benchmark."""
+"""The benchmark's recorded `enumerate-v`, `mprop`, `rank` and `reay` jobs,
+replayed: each input is rebuilt from `bench/workloads.py`, and each job must
+give the exit code and report digest recorded in `bench/golden.json`, so the
+report bytes are checked without running the benchmark.  The V-sized
+reports check the member writers, and the rank and reay reports the chain
+search that both reach."""
 
 import hashlib
 import sys
@@ -15,29 +17,54 @@ from radrank.cli import main
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 
-WORKLOAD = "cli-cold"
-GOLDEN = workloads.load_golden()[WORKLOAD]
-JOBS = [
-    (slot, index, code, digest)
-    for slot in workloads.SLOTS[WORKLOAD]
-    if slot.command in ("enumerate-v", "mprop")
-    for index, code, digest in GOLDEN[slot.name]
-]
+GOLDEN = workloads.load_golden()
+
+
+def _jobs(workload, commands):
+    return [
+        (workload, slot, index, code, digest)
+        for slot in workloads.SLOTS[workload]
+        if slot.command in commands
+        for index, code, digest in GOLDEN[workload][slot.name]
+    ]
+
+
+V_SIZED = _jobs("cli-cold", ("enumerate-v", "mprop"))
+RANK = _jobs("cli-cold", ("rank",))
+REAY = _jobs("reay", ("reay",))
+JOBS = V_SIZED + RANK + REAY
+
+
+def _slots(jobs):
+    return {slot.name for _, slot, *_ in jobs}
 
 
 def test_every_v_sized_slot_is_replayed():
-    assert {slot.name for slot, *_ in JOBS} == {
+    assert _slots(V_SIZED) == {
         "enum-r2-12", "enum-d3-12", "enum-r4-11", "enum-d1-11",
         "mprop-d2-12", "mprop-r2-11", "mprop-d1-11",
     }
 
 
+def test_every_rank_slot_is_replayed():
+    assert _slots(RANK) == {
+        "rank-d1-12", "rank-r3-11", "rank-r1-12", "rank-d2-11", "rank-r2-11",
+    }
+    assert len(RANK) == 14
+
+
+def test_every_reay_slot_is_replayed():
+    assert _slots(REAY) == {"reay-n9-r2", "reay-n9-r3"}
+    assert len(REAY) == 56
+
+
 @pytest.mark.parametrize(
-    "slot,index,code,digest", JOBS, ids=[f"{job[0].name}-{job[1]}" for job in JOBS]
+    "workload,slot,index,code,digest", JOBS,
+    ids=[f"{job[1].name}-{job[2]}" for job in JOBS],
 )
-def test_recorded_report(capsys, tmp_path, slot, index, code, digest):
+def test_recorded_report(capsys, tmp_path, workload, slot, index, code, digest):
     paths = []
-    docs = slot.build(workloads.candidate_rng(WORKLOAD, slot.name, index))
+    docs = slot.build(workloads.candidate_rng(workload, slot.name, index))
     for part, doc in enumerate(docs):
         path = tmp_path / f"{part}.json"
         path.write_text(workloads.doc_text(doc), encoding="utf-8")
