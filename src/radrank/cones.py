@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DimensionError, PreconditionError, check_budget
@@ -106,17 +107,17 @@ def _check_dimension(vecs: Sequence[Vector], n: int) -> None:
         raise DimensionError("vector dimension differs from ambient dimension")
 
 
-def prune(gens: GeneratorSet, rank: int) -> GeneratorSet:
+def prune(gens: GeneratorSet) -> GeneratorSet:
     """Drop each generator, in ascending label order, whose removal leaves a
-    set of linear rank `rank` that positively spans its span.  On such a set,
-    the result is a positive basis of its span, and the set itself iff no
-    generator is removable."""
-    kept = list(gens.labels)
-    for label in gens.labels:
-        trial = [l for l in kept if l != label]
-        if positively_spans_rank(gens.subset(trial).vectors, rank):
-            kept = trial
-    return gens.subset(kept)
+    set that positively spans its span; on such a gens the result is a
+    positive basis of its span, gens itself iff none is removable.  No
+    removal lowers the rank, as a strictly positive combination of the kept
+    set vanishes (Gordan's alternative): each is a combination of the rest."""
+    keep = [True] * len(gens)
+    for i in range(len(gens)):
+        keep[i] = False
+        keep[i] = not positively_spans_its_span(list(compress(gens.vectors, keep)))
+    return gens.subset(compress(gens.labels, keep))
 
 
 def is_positive_basis(x: Generators, n: int) -> bool:
@@ -124,25 +125,21 @@ def is_positive_basis(x: Generators, n: int) -> bool:
     vecs = _vectors(x)
     _check_dimension(vecs, n)
     gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(vecs)
-    return positively_spans_rank(vecs, n) and prune(gens, n) == gens
+    return positively_spans_rank(vecs, n) and prune(gens) == gens
 
 
 def extract_positive_basis(x: Generators, n: int) -> GeneratorSet:
     """Deterministically thin a positively spanning set down to a positive basis.
 
-    Grows an ascending-label prefix until it positively spans Q^n, then prunes
-    redundant members, again in ascending label order.
+    Takes the shortest ascending-label prefix that positively spans Q^n (none
+    does unless the whole set does), then prunes it in ascending label order.
     """
     gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(x)
     _check_dimension(gens.vectors, n)
-    if not positively_spans_rank(gens.vectors, n):
-        raise PreconditionError("input does not positively span the ambient space")
-    kept: list[str] = []
-    for label in gens.labels:
-        kept.append(label)
-        if positively_spans_rank(gens.subset(kept).vectors, n):
-            break
-    return prune(gens.subset(kept), n)
+    for k in range(len(gens) + 1):
+        if positively_spans_rank(gens.vectors[:k], n):
+            return prune(gens.subset(gens.labels[:k]))
+    raise PreconditionError("input does not positively span the ambient space")
 
 
 def principal_table(vecs: Sequence[Vector]) -> tuple[bytes, tuple[int, ...]]:

@@ -99,14 +99,13 @@ def is_self_inverse(m: Model, subset: Iterable[PrimeId]) -> bool:
 def find_inverse_basis(m: Model) -> Support:
     """Greedy minimal prime set whose almost-inverses are all primes.
 
-    Trial removals run in ascending id order starting from the full prime
-    set; a removal sticks whenever the remainder still positively spans the
-    span of all classes, which is when its almost-inverses are all primes.
+    Trial removals run in ascending id order from all primes, one LP each
+    (`prune`); a removal sticks whenever the remainder still positively
+    spans the span of all classes: then its almost-inverses are all primes.
     """
     if not positively_spans_its_span(m.vectors()):
         raise PreconditionError("class vectors do not positively span their span")
-    full = linear_rank(m.vectors())
-    return frozenset(prune(GeneratorSet(m.ids(), m.vectors()), full).labels)
+    return frozenset(prune(GeneratorSet(m.ids(), m.vectors())).labels)
 
 
 def max_reay_chain(m: Model, delta: Iterable[PrimeId]) -> ReayChain:
@@ -116,7 +115,7 @@ def max_reay_chain(m: Model, delta: Iterable[PrimeId]) -> ReayChain:
     full = linear_rank(m.vectors())
     if not positively_spans_rank(gens.vectors, full):
         raise PreconditionError("delta is not an inverse basis (does not cover)")
-    if prune(gens, full) != gens:
+    if prune(gens) != gens:
         raise PreconditionError("delta is not an inverse basis (not minimal)")
     # Self-inverse subsets of delta are the closed sets of the weak Reay
     # partition problem on delta's classes.

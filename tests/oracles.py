@@ -10,7 +10,9 @@ against `frac_phase_one`.  `reay_by_lp` reads its chain off
 nothing with the package's graded cover walk, and `rank_by_height` reads V
 off `v_by_lp`.  `circuits_by_steps` is the circuit walk with each
 prefix's elimination rows kept, one `circuit_step` per decision, and
-`chain_by_full_scan` the cover walk with no narrowing.  Keep inputs tiny.
+`chain_by_full_scan` the cover walk with no narrowing.
+`prune_by_rank_and_span` is the positive-basis greedy testing rank and
+positive spanning on every trial, by elimination alone.  Keep inputs tiny.
 """
 
 from fractions import Fraction
@@ -105,6 +107,27 @@ def fm_strict_zero(gens):
     """Does some combination with every coefficient >= 1 reach zero?"""
     eqs = [([Fraction(g[d]) for g in gens], Fraction(0)) for d in range(len(gens[0]))]
     return fm_feasible(_bounded_below(len(gens), 1), len(gens), eqs)
+
+
+def spans_with_rank(vectors, rank):
+    """Do vectors have linear rank `rank` and positively span their span,
+    that is, are they empty or does some combination with every coefficient
+    >= 1 reach zero?  Elimination routes only."""
+    return echelon_rank_transposed(vectors) == rank and (
+        not vectors or fm_strict_zero(vectors)
+    )
+
+
+def prune_by_rank_and_span(vectors, rank):
+    """The positive-basis greedy asking both questions on every trial: drop
+    each vector, in order, whose removal leaves a set of linear rank `rank`
+    that positively spans its span.  Returns the kept indices."""
+    kept = list(range(len(vectors)))
+    for i in range(len(vectors)):
+        trial = [j for j in kept if j != i]
+        if spans_with_rank([vectors[j] for j in trial], rank):
+            kept = trial
+    return kept
 
 
 def frac_phase_one(columns, rhs, ties=None):

@@ -14,16 +14,20 @@ from modelgen import (
 )
 from oracles import (
     echelon_rank_transposed,
+    prune_by_rank_and_span,
     random_maximal_chain,
     rank_by_height,
     spans_by_negations,
+    spans_with_rank,
 )
 from radrank import (
+    GeneratorSet,
     Model,
     PreconditionError,
     ReayChain,
     ResourceLimitError,
     enumerate_v,
+    extract_positive_basis,
     find_inverse_basis,
     gen_d1,
     gen_d2,
@@ -38,7 +42,9 @@ from radrank import (
     transform,
     validate,
 )
+import radrank.cones
 import radrank.rank
+import radrank.ratlin
 from radrank.cones import positively_spans_its_span
 
 
@@ -224,6 +230,152 @@ class TestMaxReayChain:
     def test_rejects_non_minimal_delta(self):
         with pytest.raises(PreconditionError, match="not minimal"):
             max_reay_chain(gen_d1(4), {"P0", "P1", "P2"})
+
+
+def seeded_vector_sets(rng, count):
+    """count (vectors, n) pairs in Q^n, n = 0-3, each of 0-7 small vectors,
+    often holding a zero vector, a repeated vector or an opposite pair."""
+    sets = []
+    for i in range(count):
+        n = i % 4
+        vecs = [
+            tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+            for _ in range(rng.randrange(8))
+        ]
+        if vecs:
+            v = rng.choice(vecs)
+            for extra in ((Fraction(0),) * n, v, tuple(-x for x in v)):
+                if rng.random() < 0.4:
+                    vecs.insert(rng.randrange(len(vecs) + 1), extra)
+        sets.append((vecs, n))
+    return sets
+
+
+def outcome(call, *args):
+    """call's result, or its PreconditionError's message."""
+    try:
+        return call(*args)
+    except PreconditionError as err:
+        return str(err)
+
+
+def expected_extract(vecs, n):
+    """extract_positive_basis's kept indices, or its message, by elimination."""
+    if not spans_with_rank(vecs, n):
+        return "input does not positively span the ambient space"
+    k = next(k for k in range(len(vecs) + 1) if spans_with_rank(vecs[:k], n))
+    return prune_by_rank_and_span(vecs[:k], n)
+
+
+def expected_inverse_basis(m):
+    """find_inverse_basis on a positively spanning model, by elimination."""
+    ids = sorted(m.ids())
+    vecs = [m.vector(p) for p in ids]
+    kept = prune_by_rank_and_span(vecs, echelon_rank_transposed(vecs))
+    return frozenset(ids[i] for i in kept)
+
+
+def expected_chain_verdict(m, delta):
+    """max_reay_chain's refusal message for delta, or None if it accepts."""
+    vecs = [m.vector(p) for p in sorted(delta)]
+    full = echelon_rank_transposed(m.vectors())
+    if not spans_with_rank(vecs, full):
+        return "delta is not an inverse basis (does not cover)"
+    if prune_by_rank_and_span(vecs, full) != list(range(len(vecs))):
+        return "delta is not an inverse basis (not minimal)"
+    return None
+
+
+class TestPositiveBasisGreedy:
+    """The four callers of `cones.prune` agree with the greedy that tests
+    rank and positive spanning on every trial."""
+
+    def test_find_inverse_basis(self, spanning_population):
+        for m in spanning_population:
+            assert find_inverse_basis(m) == expected_inverse_basis(m)
+
+    def test_extract_and_is_positive_basis(self):
+        spanning, bases, shapes, held = 0, 0, set(), [0, 0, 0]
+        for vecs, n in seeded_vector_sets(fresh_rng(salt=58), 400):
+            labels = GeneratorSet.from_vectors(vecs).labels
+            want = expected_extract(vecs, n)
+            got = outcome(extract_positive_basis, vecs, n)
+            if isinstance(want, str):
+                assert got == want
+                assert not is_positive_basis(vecs, n)
+                continue
+            spanning += 1
+            shapes.add((n, len(vecs)))
+            held[0] += (Fraction(0),) * n in vecs
+            held[1] += len(set(vecs)) < len(vecs)
+            held[2] += any(any(v) and tuple(-x for x in v) in vecs for v in vecs)
+            assert got.labels == tuple(labels[i] for i in want)
+            assert is_positive_basis(got, n)
+            whole = want == list(range(len(vecs)))
+            bases += whole
+            assert is_positive_basis(vecs, n) == whole
+        # (zero, repeated, opposite) vectors among the spanning sets
+        assert spanning >= 150 and bases >= 10 and min(held) >= 50, held
+        assert {n for n, _ in shapes} == set(range(4))
+
+    def test_max_reay_chain_accepts_or_refuses(self, spanning_population):
+        verdicts = set()
+        for m in spanning_population:
+            delta = expected_inverse_basis(m)
+            trials = [delta] + [delta | {q} for q in m.ids() if q not in delta]
+            trials += [delta - {p} for p in delta]
+            for d in trials:
+                verdict = outcome(max_reay_chain, m, d)
+                want = expected_chain_verdict(m, d)
+                assert (None if isinstance(verdict, ReayChain) else verdict) == want
+                verdicts.add(want)
+        assert len(verdicts) == 3
+
+
+class TestPositiveBasisGreedyCounts:
+    """Each trial of the greedy is one LP and no rank computation."""
+
+    def _counted(self, monkeypatch):
+        solves, ranks = [], []
+        real_phase_one = radrank.ratlin._phase_one
+        real_rank = radrank.ratlin.linear_rank
+
+        def counted_phase_one(n, equations):
+            solves.append(n)
+            return real_phase_one(n, equations)
+
+        def counted_rank(vectors):
+            ranks.append(len(vectors))
+            return real_rank(vectors)
+
+        monkeypatch.setattr(radrank.ratlin, "_phase_one", counted_phase_one)
+        monkeypatch.setattr(radrank.cones, "linear_rank", counted_rank)
+        monkeypatch.setattr(radrank.rank, "linear_rank", counted_rank)
+        return solves, ranks
+
+    def _models(self, spanning_population):
+        # rank >= 1, so every trial leaves a nonempty set, which takes an LP
+        models = list(spanning_population) + [gen_d1(12), gen_d3(8), cross_model()]
+        return [m for m in models if echelon_rank_transposed(m.vectors()) == m.ambient_rank > 0]
+
+    def test_find_inverse_basis(self, monkeypatch, spanning_population):
+        models = self._models(spanning_population)
+        solves, ranks = self._counted(monkeypatch)
+        for m in models:
+            del solves[:]
+            find_inverse_basis(m)
+            assert len(solves) == len(m.ids()) + 1
+        assert ranks == [] and len(models) >= 60
+
+    def test_is_positive_basis(self, monkeypatch, spanning_population):
+        models = self._models(spanning_population)
+        bases = [[m.vector(p) for p in sorted(find_inverse_basis(m))] for m in models]
+        solves, ranks = self._counted(monkeypatch)
+        for m, basis in zip(models, bases):
+            del solves[:], ranks[:]
+            assert is_positive_basis(basis, m.ambient_rank)
+            assert len(solves) == len(basis) + 1
+            assert len(ranks) == 1
 
 
 class TestRecoverRank:
