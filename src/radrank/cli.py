@@ -99,10 +99,10 @@ class _Members:
 
 
 def _put_json(value: object, indent: str, out: list[str]) -> None:
-    """Append the text of `value` at `indent` to `out`.  A list of strings is
-    one C-level join; members of V are their texts, each made once per
-    indent from the encoded ids, and the separators between them, in one
-    C-level pass.  Not a closure: one that calls itself is a reference
+    """Append the text of `value` at `indent` to `out`.  Members of V are
+    their texts, each made once per indent from the encoded ids, and the
+    separators between them, in one C-level pass; any other list is written
+    item by item.  Not a closure: one that calls itself is a reference
     cycle, which keeps each report's pieces alive until the collector runs."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -128,18 +128,12 @@ def _put_json(value: object, indent: str, out: list[str]) -> None:
             _put_json(item, inner, out)
         out.append("\n" + indent + "}")
         return
-    head, tail = "[\n" + inner, "\n" + indent + "]"
-    try:
-        out.append(head + sep.join(map(encode_basestring_ascii, value)) + tail)
-        return
-    except TypeError:  # an item is not a string
-        pass
-    out.append(head)
+    out.append("[\n" + inner)
     for n, item in enumerate(value):
         if n:
             out.append(sep)
         _put_json(item, inner, out)
-    out.append(tail)
+    out.append("\n" + indent + "]")
 
 
 def _json_text(value: object) -> str:
@@ -318,7 +312,7 @@ def _cmd_reay(ns) -> tuple[int, dict, list[str], list[str]]:
         try:
             parsed.append(parse_vector(item))
         except ValueError as exc:
-            raise ValueError(f"vectors[{i}]: {exc}") from None
+            raise ValueError(f"vectors[{i}]{exc}") from None
     if labels is not None and (
         not isinstance(labels, list) or not all(isinstance(l, str) for l in labels)
     ):

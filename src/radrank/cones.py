@@ -61,11 +61,11 @@ class GeneratorSet:
     def from_vectors(
         cls, vectors: Sequence[Sequence], labels: Optional[Sequence[str]] = None
     ) -> "GeneratorSet":
-        vecs = [vec(v) for v in vectors]
+        vecs = tuple(vectors)
         if labels is None:
             width = max(2, len(str(max(len(vecs) - 1, 0))))
             labels = [f"g{i:0{width}d}" for i in range(len(vecs))]
-        return cls(tuple(labels), tuple(vecs))
+        return cls(tuple(labels), vecs)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -34,7 +34,7 @@ from .ratlin import (
     format_vector,
     linear_rank,
     mat_vec,
-    parse_rational,
+    parse_vector,
     strict_zero_combination,
     vec,
 )
@@ -292,13 +292,10 @@ def model_from_dict(data: object) -> Model:
             raise ModelFormatError(
                 f"{where}.class: expected {rank} entries, got {len(coords)}"
             )
-        parsed = []
-        for j, item in enumerate(coords):
-            try:
-                parsed.append(parse_rational(item))
-            except ValueError as exc:
-                raise ModelFormatError(f"{where}.class[{j}]: {exc}") from None
-        pairs.append((pid, tuple(parsed)))
+        try:
+            pairs.append((pid, parse_vector(coords)))
+        except ValueError as exc:
+            raise ModelFormatError(f"{where}.class{exc}") from None
     try:
         return Model(rank, tuple(pairs))
     except ValueError as exc:

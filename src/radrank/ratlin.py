@@ -3,9 +3,9 @@
 Everything here is exact: `fractions.Fraction` in and out, integers inside
 the simplex, and no floats ever, since the cone decisions downstream sit
 exactly on boundaries where rounding flips verdicts.  The pieces are a
-phase-1 simplex for equality systems with lower bounds,
-nonnegative-combination (cone) membership, strictly positive zero
-combinations, rank, and a Smith normal form that returns its unimodular
+phase-1 simplex behind nonnegative-combination (cone) membership, which
+equality systems with lower bounds reduce to, and strictly positive zero
+combinations; rank; and a Smith normal form that returns its unimodular
 transforms.  The LP-free positive circuit test is fraction-free
 Gauss-Jordan elimination on integer columns (Bareiss 1968), one pivot at a
 time, `pivot_columns`, on a tableau kept as its rows' products with the
@@ -219,15 +219,13 @@ def lp_feasible(
         layout.append((j, 1))
         if bounds[j] is None:
             layout.append((j, -1))
-    equations = [
-        _scaled(
-            [sign * row[j] for j, sign in layout]
-            + [bi - sum((aj * sj for aj, sj in zip(row, shift)), Fraction(0))]
-        )
-        for row, bi in zip(a, b)
-    ]
-    z = _phase_one(len(layout), equations)
-    if z is None:
+    # x = shift + signed z with z >= 0: b - A shift in the signed columns' cone
+    ok, z = cone_member(
+        [bi - sum((aj * sj for aj, sj in zip(row, shift)), Fraction(0))
+         for row, bi in zip(a, b)],
+        [[sign * row[j] for row in a] for j, sign in layout],
+    )
+    if not ok:
         return False, None
     x = list(shift)
     for zj, (j, sign) in zip(z, layout):
@@ -432,7 +430,14 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_vector(items: Sequence[str]) -> Vector:
-    return tuple(parse_rational(x) for x in items)
+    """The entries as rationals; a bad entry j is located as `[j]: ...`."""
+    parsed = []
+    for j, item in enumerate(items):
+        try:
+            parsed.append(parse_rational(item))
+        except ValueError as exc:
+            raise ValueError(f"[{j}]: {exc}") from None
+    return tuple(parsed)
 
 
 def format_vector(v: Sequence[Fraction]) -> list[str]:

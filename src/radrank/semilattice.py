@@ -158,7 +158,7 @@ def find_iso(ma: Model, mb: Model) -> Optional[dict[PrimeId, PrimeId]]:
     result is schedule-independent.  Returns None when no isomorphism exists.
     """
     n = len(ma.ids())
-    if n != len(mb.ids()) or len(enumerate_v(ma)) != len(enumerate_v(mb)):
+    if n != len(mb.ids()):
         return None
 
     def signatures(m: Model) -> list[tuple[int, ...]]:
@@ -169,7 +169,8 @@ def find_iso(ma: Model, mb: Model) -> Optional[dict[PrimeId, PrimeId]]:
         return [tuple(c) for c in counts]
 
     sig_a, sig_b = signatures(ma), signatures(mb)
-    # equal sorted signatures give equal circuit counts, so into means onto
+    # equal sorted signatures give equal circuit counts, so into means onto,
+    # and V, the union closure of the circuits, goes onto V(mb) as well
     if sorted(sig_a) != sorted(sig_b):
         return None
     cb = set(v_circuits(mb))

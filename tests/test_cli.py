@@ -352,7 +352,7 @@ class TestReay:
         [
             ('{"vectors": [["1"], ["-1"]], "labels": 5}', "labels: expected an array"),
             ("[5, 6]", "vectors[0]: expected an array"),
-            ('[["1"], ["x"]]', "vectors[1]: invalid rational literal"),
+            ('[["1"], ["x"]]', "vectors[1][0]: invalid rational literal"),
             ('{"vectors": [["1"], ["-1"]], "labels": [1, 2]}', "labels: expected an array"),
             ('{"vectors": [["1"], ["-1"]], "labels": ["a"]}', "labels and vectors differ"),
             ('{"labels": ["a"]}', "vectors file must hold an array"),

@@ -1,9 +1,10 @@
-"""The benchmark's recorded `enumerate-v`, `mprop`, `rank` and `reay` jobs,
-replayed: each input is rebuilt from `bench/workloads.py`, and each job must
-give the exit code and report digest recorded in `bench/golden.json`, so the
-report bytes are checked without running the benchmark.  The V-sized
-reports check the member writers, and the rank and reay reports the chain
-search that both reach."""
+"""The benchmark's recorded `enumerate-v`, `mprop`, `rank`, `iso` and `reay`
+jobs, replayed: each input is rebuilt from `bench/workloads.py`, and each
+job must give the exit code and report digest recorded in
+`bench/golden.json`, so the report bytes are checked without running the
+benchmark.  The V-sized reports check the member writers, the rank and reay
+reports the chain search that both reach, and the iso reports the circuit
+search, on relabelled copies and on non-isomorphic pairs."""
 
 import hashlib
 import sys
@@ -31,8 +32,9 @@ def _jobs(workload, commands):
 
 V_SIZED = _jobs("cli-cold", ("enumerate-v", "mprop"))
 RANK = _jobs("cli-cold", ("rank",))
+ISO = _jobs("cli-cold", ("iso",))
 REAY = _jobs("reay", ("reay",))
-JOBS = V_SIZED + RANK + REAY
+JOBS = V_SIZED + RANK + ISO + REAY
 
 
 def _slots(jobs):
@@ -51,6 +53,13 @@ def test_every_rank_slot_is_replayed():
         "rank-d1-12", "rank-r3-11", "rank-r1-12", "rank-d2-11", "rank-r2-11",
     }
     assert len(RANK) == 14
+
+
+def test_every_iso_slot_is_replayed():
+    assert _slots(ISO) == {
+        "iso-copy-d1-12", "iso-d1-d3-12", "iso-copy-r1-12", "iso-d1-d3-11",
+    }
+    assert len(ISO) == 11
 
 
 def test_every_reay_slot_is_replayed():
