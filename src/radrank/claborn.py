@@ -3,6 +3,8 @@
 `claborn_model` realizes a finitely generated abelian group presented by
 integer relations as class data: Smith-normalizing the relation matrix
 splits off the free part, and each generator maps to its coordinates in it.
+An empty relation set is normalized as the single zero relation, which
+presents the same group.
 The three ready-made families are truncations of classical constructions
 with alternating sign patterns; their closed forms are emitted directly
 (they agree with the quotient computation up to a positive rescaling and an
@@ -48,17 +50,12 @@ def claborn_model(rel: RelationSet, prefix: str = "x") -> Model:
 
     The torsion part is dropped: ambient rank is k minus the relation rank,
     and generator i maps to row i of the column transform restricted to the
-    free coordinates.
+    free coordinates.  With no relations the zero relation stands in for
+    them, since Z^k modulo the zero row is Z^k itself.
     """
     k = rel.generators
-    if rel.relations:
-        _, diag, v = smith_normal_form([list(row) for row in rel.relations])
-        s = sum(
-            1 for i in range(min(len(rel.relations), k)) if diag[i][i] != 0
-        )
-    else:
-        v = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-        s = 0
+    _, diag, v = smith_normal_form(rel.relations or [[0] * k])
+    s = sum(1 for i, row in enumerate(diag[:k]) if row[i])
     rank = k - s
     pairs = [
         (

@@ -346,8 +346,6 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
     decisions; the only LP is the spanning precondition.
     """
     gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(x)
-    if len(gens) == 0:
-        return 0, ()
     if not positively_spans_its_span(gens):
         raise PreconditionError("generators do not positively span their span")
     vecs = gens.vectors

@@ -322,6 +322,10 @@ def determinant(rows: Sequence[Sequence]) -> Fraction:
 
 # --- Smith normal form ------------------------------------------------------
 
+def _add_row(rows: list[list[int]], dst: int, src: int, q: int) -> None:
+    rows[dst] = [x + q * y for x, y in zip(rows[dst], rows[src])]
+
+
 def smith_normal_form(
     matrix: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -329,6 +333,13 @@ def smith_normal_form(
 
     U and V are unimodular, D is diagonal with nonnegative entries and
     d1 | d2 | ... along the diagonal.
+
+    One pivot rule: each round moves the least nonzero entry of the trailing
+    block to the pivot and clears the pivot's row and column by floor
+    division.  A remainder, or an entry of the block past the pivot that the
+    pivot does not divide (its row is first added to the pivot's), leaves a
+    smaller least entry for a later round, so the rounds end.  V is kept
+    transposed, so its column operations are row operations.
     """
     m = len(matrix)
     k = len(matrix[0]) if m else 0
@@ -336,73 +347,42 @@ def smith_normal_form(
     for row in a:
         if len(row) != k:
             raise DimensionError("matrix rows have mixed widths")
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst: int, src: int, q: int) -> None:
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst: int, src: int, q: int) -> None:
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    vt = [[int(i == j) for j in range(k)] for i in range(k)]
     t = 0
-    while t < m and t < k:
-        best = None
-        for i in range(t, m):
-            for j in range(t, k):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            i = next((i for i in range(t + 1, m) if a[i][t] != 0), None)
-            if i is not None:
-                # floor division keeps |remainder| < |pivot| for either sign
-                q = a[i][t] // a[t][t]
-                add_row(i, t, -q)
-                if a[i][t] != 0:
-                    swap_rows(i, t)
-                continue
-            j = next((j for j in range(t + 1, k) if a[t][j] != 0), None)
-            if j is not None:
-                q = a[t][j] // a[t][t]
-                add_col(j, t, -q)
-                if a[t][j] != 0:
-                    swap_cols(j, t)
-                continue
-            piv = a[t][t]
-            bad = next(
-                (
-                    i
-                    for i in range(t + 1, m)
-                    if any(a[i][j] % piv != 0 for j in range(t + 1, k))
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            add_row(t, bad, 1)
-        if a[t][t] < 0:
+    while block := [
+        (abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, k) if a[i][j]
+    ]:
+        _, i, j = min(block)
+        a[t], a[i] = a[i], a[t]
+        u[t], u[i] = u[i], u[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        vt[t], vt[j] = vt[j], vt[t]
+        p = a[t][t]
+        for i in range(t + 1, m):
+            q = -(a[i][t] // p)
+            _add_row(a, i, t, q)
+            _add_row(u, i, t, q)
+        for j in range(t + 1, k):
+            q = -(a[t][j] // p)
+            for row in a:
+                row[j] += q * row[t]
+            _add_row(vt, j, t, q)
+        if any(a[i][t] for i in range(t + 1, m)) or any(a[t][t + 1 :]):
+            continue
+        bad = next(
+            (i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1 :])), None
+        )
+        if bad is not None:
+            _add_row(a, t, bad, 1)
+            _add_row(u, t, bad, 1)
+            continue
+        if p < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return u, a, v
+    return u, a, [list(col) for col in zip(*vt)]
 
 
 # --- serialization ----------------------------------------------------------

@@ -60,6 +60,12 @@ class TestClabornModel:
         assert m.vectors() == ((F(1), F(0)), (F(0), F(1)))
         assert enumerate_v(m) == ()
 
+    def test_no_relations_is_the_zero_relation(self):
+        for k in range(1, 6):
+            assert claborn_model(RelationSet(k, ())) == claborn_model(
+                RelationSet(k, ((0,) * k,))
+            )
+
     def test_killing_the_only_generator(self):
         m = claborn_model(RelationSet(1, ((1,),)))
         assert m.ambient_rank == 0

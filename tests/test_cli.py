@@ -726,16 +726,16 @@ class TestEntryPoint:
         target = tmp_path / "d2.json"
         save_model(gen_d2(12), str(target))
         # 682,044 bytes of text, far past a 64 KiB pipe buffer
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "radrank.cli", "mprop", str(target)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 2
-        assert b"Traceback" not in err
+        ) as proc:
+            proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2
+            assert b"Traceback" not in err
 
     def test_unencodable_text_output_exits_2_without_a_traceback(self, tmp_path):
         target = tmp_path / "m.json"

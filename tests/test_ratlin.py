@@ -1,7 +1,7 @@
 """Exact-arithmetic kernels: frozen examples plus oracle cross-checks."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -522,6 +522,28 @@ class TestSmithNormalForm:
             cols = rng.randrange(1, 5)
             m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
             self._check_factorization(m)
+
+    def test_empty_and_zero_shapes(self):
+        assert self._check_factorization([]) == []
+        assert self._check_factorization([[], [], []]) == []
+        # the zero row is what claborn_model normalizes without relations
+        for width in range(1, 6):
+            assert self._check_factorization([[0] * width]) == [0]
+
+    def test_single_row_and_single_column(self):
+        rng = fresh_rng(salt=17)
+        for k in range(1, 7):
+            row = [rng.randint(-30, 30) for _ in range(k)]
+            g = gcd(*row)
+            assert self._check_factorization([row]) == [g]
+            assert self._check_factorization([[x] for x in row]) == [g]
+
+    def test_seven_by_seven_battery(self):
+        rng = fresh_rng(salt=18)
+        for _ in range(40):
+            m = [[rng.randint(-30, 30) for _ in range(7)] for _ in range(7)]
+            diag = self._check_factorization(m)
+            assert prod(diag) == abs(determinant(m))
 
 
 class TestSerialization:
