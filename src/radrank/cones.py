@@ -352,7 +352,5 @@ def max_weak_reay(x: Generators) -> tuple[int, tuple[frozenset[str], ...]]:
     check_budget(len(vecs), "the chain search over the labels")
     closed, _ = principal_table(vecs)
     chain = longest_closed_chain(gens.labels, closed.__getitem__)
-    blocks = tuple(
-        frozenset(cur - prev) for prev, cur in zip(chain, chain[1:])
-    )
+    blocks = tuple(cur - prev for prev, cur in zip(chain, chain[1:]))
     return len(blocks), blocks

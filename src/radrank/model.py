@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, compress
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import ModelFormatError, check_budget
 from .ratlin import (
@@ -42,8 +42,6 @@ from .cones import positively_spans_its_span, principal_table
 
 PrimeId = str
 Support = frozenset[str]
-
-PrimesInput = Union[Mapping[str, Sequence], Iterable[tuple[str, Sequence]]]
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,7 @@ from .cones import (
 )
 from .errors import PreconditionError, check_budget
 from .model import (
-    Model, PrimeId, Support, enumerate_v, support_mask, v_circuits, v_index,
-    v_membership,
+    Model, PrimeId, Support, enumerate_v, support_mask, v_circuits, v_membership,
 )
 from .ratlin import cone_member, linear_rank, vec_neg
 
@@ -155,14 +154,9 @@ def recover_rank(m: Model) -> int:
     # it, i.e. when it is the union of the members it contains.  V is
     # union-closed, so that union is empty or a member: the self-inverse
     # subsets of delta are the empty set and the members inside delta, as
-    # masks over delta_ids for the chain search.  `v_index` holds V's masks
-    # over ids in `enumerate_v` order, so a member lies inside delta iff its
-    # mask has no bit outside delta.
+    # masks over delta_ids for the chain search.
     delta_ids = [pid for i, pid in enumerate(ids) if delta >> i & 1]
-    closed = {0} | {
-        support_mask(delta_ids, s)
-        for s, mask in zip(enumerate_v(m), v_index(m).values())
-        if not mask & ~delta
-    }
+    inside = frozenset(delta_ids)
+    closed = {0} | {support_mask(delta_ids, s) for s in enumerate_v(m) if s <= inside}
     chain_sets = longest_closed_chain(delta_ids, closed.__contains__)
     return len(delta_ids) - (len(chain_sets) - 1)

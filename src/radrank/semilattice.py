@@ -227,8 +227,10 @@ def extend_iso(
         raise ValueError("phi must be defined on exactly the principal supports")
     if set(mapping.values()) != vb or len(set(mapping.values())) != len(mapping):
         raise ValueError("phi must map onto the codomain principal supports")
-    by_mask = {mask: s for s, mask in v_index(ma).items()}
-    circuits = [by_mask[c] for c in v_circuits(ma)]
+    ids = ma.ids()
+    circuits = [
+        frozenset(p for i, p in enumerate(ids) if c >> i & 1) for c in v_circuits(ma)
+    ]
     for x in va:
         for c in circuits:
             if mapping[x | c] != mapping[x] | mapping[c]:
@@ -240,7 +242,7 @@ def extend_iso(
         raise PreconditionError(
             "both models must be witness-rich to transport an isomorphism"
         )
-    eta = {pid: theta(mb, [mapping[s] for s in nu(ma, pid)]) for pid in ma.ids()}
+    eta = {pid: theta(mb, [mapping[s] for s in nu(ma, pid)]) for pid in ids}
     if len(set(eta.values())) != len(eta):
         raise StructureError("induced prime map is not injective")
     verified = all(

@@ -10,6 +10,7 @@ from modelgen import (
     random_invertible_matrix,
     random_positive_scales,
     random_spanning_model,
+    relabeled,
     zero_model,
 )
 from oracles import (
@@ -29,6 +30,7 @@ from radrank import (
     enumerate_v,
     extract_positive_basis,
     find_inverse_basis,
+    find_iso,
     gen_d1,
     gen_d2,
     gen_d3,
@@ -463,6 +465,38 @@ class TestRecoverRank:
             for delta in bases:
                 s = max_reay_chain(m, delta).cardinality
                 assert len(delta) - s == expected
+
+    def test_rank_is_an_invariant_of_the_support_poset(self):
+        # The theorem end to end: a relabelled copy moved by an invertible
+        # matrix and positive scales has an isomorphic V and the same
+        # recovered rank, the linear rank; models of one prime count and
+        # different rank have no isomorphism of V at all.
+        rng = fresh_rng(salt=58)
+        models = [
+            random_spanning_model(rng, min_primes=6, max_primes=10, ranks=(0, 1, 2, 3, 4))
+            for _ in range(60)
+        ]
+        ranks = [linear_rank(m.vectors()) for m in models]
+        for m, rank in zip(models, ranks):
+            names = [f"q{i:02d}" for i in range(len(m.ids()))]
+            rng.shuffle(names)
+            copy = relabeled(m, dict(zip(m.ids(), names)))
+            copy = transform(
+                copy,
+                random_invertible_matrix(rng, m.ambient_rank),
+                random_positive_scales(rng, copy.ids()),
+            )
+            eta = find_iso(m, copy)
+            assert eta is not None and sorted(eta.values()) == sorted(copy.ids())
+            moved = {frozenset(eta[p] for p in s) for s in enumerate_v(m)}
+            assert moved == set(enumerate_v(copy))
+            assert recover_rank(m) == recover_rank(copy) == rank
+        distinct = 0
+        for (ma, ra), (mb, rb) in combinations(zip(models, ranks), 2):
+            if len(ma.ids()) == len(mb.ids()) and ra != rb:
+                assert find_iso(ma, mb) is None, (ma, mb)
+                distinct += 1
+        assert sorted(set(ranks)) == [0, 1, 2, 3, 4] and distinct > 100
 
 
 def simplex_product_model(rng, parts):
