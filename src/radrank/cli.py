@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Every subcommand loads its inputs, runs one library operation, and emits
-either short text or (with --json) a Report object carrying the command, an
-input digest, and the results.  Output is byte-deterministic for fixed
-inputs; wall-clock timing is therefore opt-in via --timing.  Exit status: 0
-for a computed result, 1 for a negative verdict on a decision command, 2 for
-usage, format, or precondition problems, for an output pipe closed early and
-for text that the output's encoding cannot carry.
+either short text read off its results or (with --json) a Report object
+carrying the command, a digest of the command and its inputs, and the
+results.  Output is byte-deterministic for fixed inputs; wall-clock timing is
+therefore opt-in via --timing.  Exit status: 0 for a computed result, 1 for a
+negative verdict on a decision command, 2 for usage, format, or precondition
+problems, for an output pipe closed early and for text that the output's
+encoding cannot carry.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
@@ -26,8 +28,8 @@ from . import claborn, rank as rank_ops, semilattice
 from .cones import GeneratorSet, max_weak_reay
 from .errors import ModelFormatError
 from .model import (
-    Model, dumps_model, enumerate_v, loads_json, loads_model, model_to_dict,
-    read_text, v_joined, v_membership, validate,
+    Model, enumerate_v, loads_json, loads_model, model_to_dict, read_text,
+    v_joined, v_membership, validate,
 )
 from .ratlin import parse_vector
 
@@ -52,10 +54,6 @@ def _read_json(path: str, where: str, parse=loads_json) -> tuple[object, str]:
 
 def _load(path: str) -> tuple[Model, str]:
     return _read_json(path, path, loads_model)
-
-
-def _support_text(support) -> str:
-    return _ids_text(sorted(support))
 
 
 def _ids_text(sorted_ids) -> str:
@@ -149,62 +147,47 @@ def _json_text(value: object) -> str:
 
 
 # --- handlers ----------------------------------------------------------------
-# each returns (exit code, results dict, text lines, digest parts); long text
-# lines come as a generator over `results`, formatted only when printed
-# without --json and holding nothing the report does not
+# each returns (exit code, results dict, text lines, inputs), and `main`
+# digests the command name, then the inputs.  The text lines are read off
+# `results`; long ones come as a generator, formatted only when printed
+# without --json.
+
+def _scalars(results: dict, keys: Iterable[str]) -> list[str]:
+    """The text lines `key: <JSON text>` of the scalar results at `keys`."""
+    return [f"{key}: {json.dumps(results[key])}" for key in keys]
+
 
 def _cmd_validate(ns) -> tuple[int, dict, list[str], list[str]]:
     m, text = _load(ns.model)
-    report = validate(m)
-    results = {
-        "positively_spanning": report.positively_spanning,
-        "witness_rich": report.witness_rich,
-        "linear_rank": report.linear_rank,
-    }
-    lines = [
-        f"positively_spanning: {str(report.positively_spanning).lower()}",
-        f"witness_rich: {str(report.witness_rich).lower()}",
-        f"linear_rank: {report.linear_rank}",
-    ]
-    code = 0 if report.positively_spanning else 1
-    return code, results, lines, ["validate", text]
+    results = asdict(validate(m))
+    code = 0 if results["positively_spanning"] else 1
+    return code, results, _scalars(results, results), [text]
 
 
 def _cmd_v_member(ns) -> tuple[int, dict, list[str], list[str]]:
     m, text = _load(ns.model)
     support = _parse_support(ns.support)
-    verdict = v_membership(m, support)
-    results = {"support": sorted(set(support)), "member": verdict}
-    return (
-        0 if verdict else 1,
-        results,
-        [str(verdict).lower()],
-        ["v-member", ns.support, text],
-    )
+    results = {"support": sorted(set(support)), "member": v_membership(m, support)}
+    code = 0 if results["member"] else 1
+    return code, results, [json.dumps(results["member"])], [ns.support, text]
 
 
 def _cmd_enumerate_v(ns) -> tuple[int, dict, Iterable[str], list[str]]:
     m, text = _load(ns.model)
     members = _Members(m)
-    results = {"members": members, "count": len(members)}
-    return 0, results, members.lines(), ["enumerate-v", text]
+    return 0, {"members": members, "count": len(members)}, members.lines(), [text]
 
 
 def _cmd_coprime(ns) -> tuple[int, dict, list[str], list[str]]:
     m, text = _load(ns.model)
     supports = [_parse_support(s) for s in ns.supports]
-    raw = semilattice.product_coprime_raw(m, supports)
-    by_supports = semilattice.product_coprime_supports(supports)
     results = {
         "supports": [sorted(set(s)) for s in supports],
-        "raw": raw,
-        "supports_criterion": by_supports,
+        "raw": semilattice.product_coprime_raw(m, supports),
+        "supports_criterion": semilattice.product_coprime_supports(supports),
     }
-    lines = [
-        f"raw: {str(raw).lower()}",
-        f"supports_criterion: {str(by_supports).lower()}",
-    ]
-    return 0 if raw else 1, results, lines, ["coprime", *ns.supports, text]
+    lines = _scalars(results, ("raw", "supports_criterion"))
+    return 0 if results["raw"] else 1, results, lines, [*ns.supports, text]
 
 
 def _cmd_mprop(ns) -> tuple[int, dict, Iterable[str], list[str]]:
@@ -216,39 +199,37 @@ def _cmd_mprop(ns) -> tuple[int, dict, Iterable[str], list[str]]:
         for prime, star in zip(m.ids(), semilattice.mprop(m))
     ]
     lines = (f"{f['prime']}: " + " ".join(f["members"].lines()) for f in families)
-    return 0, {"families": families}, lines, ["mprop", text]
+    return 0, {"families": families}, lines, [text]
 
 
 def _cmd_inv(ns) -> tuple[int, dict, list[str], list[str]]:
     m, text = _load(ns.model)
     delta = list(ns.primes)
     enum_side = rank_ops.inv_enum(m, delta)
-    cone_side = rank_ops.inv_cone(m, delta)
     results = {
         "delta": sorted(set(delta)),
         "inverses": sorted(enum_side),
-        "agreement": enum_side == cone_side,
+        "agreement": enum_side == rank_ops.inv_cone(m, delta),
     }
-    lines = [f"inv({_ids_text(results['delta'])}) = {_support_text(enum_side)}"]
-    return 0, results, lines, ["inv", *results["delta"], text]
+    lines = [f"inv({_ids_text(results['delta'])}) = {_ids_text(results['inverses'])}"]
+    return 0, results, lines, [*results["delta"], text]
 
 
 def _cmd_rank(ns) -> tuple[int, dict, list[str], list[str]]:
     m, text = _load(ns.model)
-    value = rank_ops.recover_rank(m)
-    return 0, {"rank": value}, [f"rank = {value}"], ["rank", text]
+    results = {"rank": rank_ops.recover_rank(m)}
+    return 0, results, [f"rank = {results['rank']}"], [text]
 
 
 def _cmd_iso(ns) -> tuple[int, dict, list[str], list[str]]:
     ma, text_a = _load(ns.model_a)
     mb, text_b = _load(ns.model_b)
     mapping = semilattice.find_iso(ma, mb)
-    parts = ["iso", text_a, text_b]
     if mapping is None:
-        return 1, {"isomorphism": None}, ["no isomorphism"], parts
-    results = {"isomorphism": {k: mapping[k] for k in sorted(mapping)}}
-    lines = [f"{k} -> {mapping[k]}" for k in sorted(mapping)]
-    return 0, results, lines, parts
+        return 1, {"isomorphism": None}, ["no isomorphism"], [text_a, text_b]
+    iso = {k: mapping[k] for k in sorted(mapping)}
+    lines = [f"{k} -> {v}" for k, v in iso.items()]
+    return 0, {"isomorphism": iso}, lines, [text_a, text_b]
 
 
 def _cmd_extend_iso(ns) -> tuple[int, dict, list[str], list[str]]:
@@ -271,29 +252,24 @@ def _cmd_extend_iso(ns) -> tuple[int, dict, list[str], list[str]]:
                     raise ValueError(f"phi[{i}][{j}][{k}]: expected a string")
         pairs.append((item[0], item[1]))
     eta, verified = semilattice.extend_iso(ma, mb, pairs)
-    results = {
-        "eta": {k: eta[k] for k in sorted(eta)},
-        "verified": verified,
-    }
-    lines = [f"{k} -> {eta[k]}" for k in sorted(eta)]
-    lines.append(f"verified: {str(verified).lower()}")
-    parts = ["extend-iso", text_a, text_b, phi_text]
-    return 0 if verified else 1, results, lines, parts
+    results = {"eta": {k: eta[k] for k in sorted(eta)}, "verified": verified}
+    lines = [f"{k} -> {v}" for k, v in results["eta"].items()]
+    lines += _scalars(results, ("verified",))
+    return 0 if verified else 1, results, lines, [text_a, text_b, phi_text]
 
 
 _FAMILIES = {"d1": claborn.gen_d1, "d2": claborn.gen_d2, "d3": claborn.gen_d3}
 
 
 def _cmd_gen(ns) -> tuple[int, dict, list[str], list[str]]:
-    m = _FAMILIES[ns.family](ns.k)
-    text = dumps_model(m)
-    results = {"model": model_to_dict(m)}
-    parts = ["gen", ns.family, str(ns.k)]
+    results = {"model": model_to_dict(_FAMILIES[ns.family](ns.k))}
+    text = _json_text(results["model"])
+    inputs = [ns.family, str(ns.k)]
     if ns.output:
         with open(ns.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        return 0, results, [f"wrote {ns.output}"], parts
-    return 0, results, [text.rstrip("\n")], parts
+            handle.write(text + "\n")
+        return 0, results, [f"wrote {ns.output}"], inputs
+    return 0, results, [text], inputs
 
 
 def _cmd_reay(ns) -> tuple[int, dict, list[str], list[str]]:
@@ -319,14 +295,11 @@ def _cmd_reay(ns) -> tuple[int, dict, list[str], list[str]]:
         raise ValueError("labels: expected an array of strings")
     gens = GeneratorSet.from_vectors(parsed, labels)
     s, blocks = max_weak_reay(gens)
-    results = {
-        "cardinality": s,
-        "blocks": [sorted(block) for block in blocks],
-    }
-    lines = [f"s = {s}"]
-    if blocks:
-        lines.append("blocks: " + " | ".join(_support_text(b) for b in blocks))
-    return 0, results, lines, ["reay", text]
+    results = {"cardinality": s, "blocks": [sorted(block) for block in blocks]}
+    lines = [f"s = {results['cardinality']}"]
+    if results["blocks"]:
+        lines.append("blocks: " + " | ".join(map(_ids_text, results["blocks"])))
+    return 0, results, lines, [text]
 
 
 @functools.cache
@@ -394,7 +367,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        code, results, lines, digest_parts = ns.handler(ns)
+        code, results, lines, inputs = ns.handler(ns)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -403,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if ns.json:
             report = {
                 "command": ns.command,
-                "inputs": {"digest": _digest(digest_parts)},
+                "inputs": {"digest": _digest([ns.command, *inputs])},
                 "results": results,
             }
             if ns.timing:

@@ -403,10 +403,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
 
 
 def parse_vector(items: Sequence[str]) -> Vector:

@@ -459,6 +459,35 @@ class TestReports:
             != json.loads(two)["inputs"]["digest"]
         )
 
+    @pytest.mark.parametrize(
+        "command", ["validate", "v-member", "coprime", "inv", "extend-iso", "gen"]
+    )
+    def test_digest_covers_the_command_then_its_inputs(self, capsys, tmp_path, d1_file, command):
+        # no recorded job replays these commands, so their digests are pinned here
+        d2_file = tmp_path / "d2.json"
+        save_model(gen_d2(4), str(d2_file))
+        phi = tmp_path / "phi.json"
+        eta = {"P0": "Q0", "P1": "Q1", "P2": "Q2", "P3": "Q3"}
+        phi.write_text(json.dumps(
+            [[sorted(s), sorted(eta[p] for p in s)] for s in enumerate_v(gen_d1(4))]
+        ))
+        with open(d1_file, encoding="utf-8") as handle:
+            model = handle.read()
+        args, inputs = {
+            "validate": ([d1_file], [model]),
+            "v-member": ([d1_file, "P1,P0,P1"], ["P1,P0,P1", model]),
+            "coprime": ([d1_file, "P1,P0", "P3,P2,"], ["P1,P0", "P3,P2,", model]),
+            "inv": ([d1_file, "P2", "P0", "P2"], ["P0", "P2", model]),
+            "extend-iso": (
+                [d1_file, str(d2_file), str(phi)],
+                [model, d2_file.read_text(), phi.read_text()],
+            ),
+            "gen": (["d2", "--k", "3"], ["d2", "3"]),
+        }[command]
+        code, out, _ = run(capsys, command, "--json", *args)
+        assert code in (0, 1)
+        assert json.loads(out)["inputs"]["digest"] == _digest([command, *inputs])
+
     def test_round_trip_through_gen(self, capsys, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
