@@ -72,12 +72,11 @@ def _check_length(k: int) -> None:
         raise ValueError("truncations need at least two primes")
 
 
-def _adjacent_relations(k: int, weight: int, anchored: bool = False) -> RelationSet:
-    """Rows e_n + weight * e_{n+1} over adjacent generators; an anchored set
-    starts from the row e_0 in place of e_0 + weight * e_1."""
+def _adjacent_relations(k: int, weight: int) -> RelationSet:
+    """Rows e_n + weight * e_{n+1} over adjacent generators."""
     _check_length(k)
-    rows = [(1,) + (0,) * (k - 1)] if anchored else []
-    for n in range(len(rows), k - 1):
+    rows = []
+    for n in range(k - 1):
         row = [0] * k
         row[n] = 1
         row[n + 1] = weight
@@ -94,7 +93,9 @@ def d2_relations(k: int) -> RelationSet:
 
 
 def d3_relations(k: int) -> RelationSet:
-    return _adjacent_relations(k, 1, anchored=True)
+    """d1's relations with the row e_0 in place of e_0 + e_1."""
+    rows = d1_relations(k).relations
+    return RelationSet(k, ((1,) + (0,) * (k - 1),) + rows[1:])
 
 
 def _rank_one(prefix: str, k: int, cls) -> Model:

@@ -28,8 +28,8 @@ from . import claborn, rank as rank_ops, semilattice
 from .cones import GeneratorSet, max_weak_reay
 from .errors import ModelFormatError
 from .model import (
-    Model, enumerate_v, loads_json, loads_model, model_to_dict, read_text,
-    v_joined, v_membership, validate,
+    Model, dumps_model, enumerate_v, loads_json, loads_model, model_to_dict,
+    read_text, save_model, v_joined, v_membership, validate,
 )
 from .ratlin import parse_vector
 
@@ -262,14 +262,13 @@ _FAMILIES = {"d1": claborn.gen_d1, "d2": claborn.gen_d2, "d3": claborn.gen_d3}
 
 
 def _cmd_gen(ns) -> tuple[int, dict, list[str], list[str]]:
-    results = {"model": model_to_dict(_FAMILIES[ns.family](ns.k))}
-    text = _json_text(results["model"])
+    m = _FAMILIES[ns.family](ns.k)
+    results = {"model": model_to_dict(m)}
     inputs = [ns.family, str(ns.k)]
     if ns.output:
-        with open(ns.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        save_model(m, ns.output)
         return 0, results, [f"wrote {ns.output}"], inputs
-    return 0, results, [text], inputs
+    return 0, results, [dumps_model(m)[:-1]], inputs
 
 
 def _cmd_reay(ns) -> tuple[int, dict, list[str], list[str]]:

@@ -122,10 +122,9 @@ def prune(gens: GeneratorSet) -> GeneratorSet:
 
 def is_positive_basis(x: Generators, n: int) -> bool:
     """Does x positively span Q^n with no generator removable?"""
-    vecs = _vectors(x)
-    _check_dimension(vecs, n)
-    gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(vecs)
-    return positively_spans_rank(vecs, n) and prune(gens) == gens
+    gens = x if isinstance(x, GeneratorSet) else GeneratorSet.from_vectors(x)
+    _check_dimension(gens.vectors, n)
+    return positively_spans_rank(gens.vectors, n) and prune(gens) == gens
 
 
 def extract_positive_basis(x: Generators, n: int) -> GeneratorSet:

@@ -48,7 +48,7 @@ Support = frozenset[str]
 class Model:
     ambient_rank: int
     primes: tuple[tuple[PrimeId, Vector], ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _by_id: dict = field(init=False, compare=False, repr=False)
     _ids: tuple = field(init=False, compare=False, repr=False)
 

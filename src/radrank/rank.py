@@ -38,6 +38,7 @@ class ReayChain:
     subsets: tuple[Support, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "subsets", tuple(map(frozenset, self.subsets)))
         if not self.subsets or self.subsets[0]:
             raise ValueError("a chain starts at the empty set")
         for prev, cur in zip(self.subsets, self.subsets[1:]):
@@ -50,10 +51,7 @@ class ReayChain:
 
     @property
     def blocks(self) -> tuple[Support, ...]:
-        return tuple(
-            frozenset(cur - prev)
-            for prev, cur in zip(self.subsets, self.subsets[1:])
-        )
+        return tuple(cur - prev for prev, cur in zip(self.subsets, self.subsets[1:]))
 
 
 def inv_enum(m: Model, delta: Iterable[PrimeId]) -> Support:

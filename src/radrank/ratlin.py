@@ -387,12 +387,12 @@ def smith_normal_form(
 
 # --- serialization ----------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'a' or 'a/b' with b > 0."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"invalid rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")

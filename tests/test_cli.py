@@ -391,6 +391,14 @@ class TestErrorsAndDiagnostics:
         assert code == 2
         assert "primes[0].class[0]" in err
 
+    def test_rational_literal_is_the_whole_string(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"ambient_rank": 1, "primes": [{"id": "a", "class": ["1\\n"]}]}')
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: primes[0].class[0]: invalid rational literal: '1\\n'\n"
+
     def test_names_the_malformed_model_file(self, capsys, tmp_path, d1_file):
         path = tmp_path / "bad.json"
         path.write_text('{"ambient_rank": 0, "primes": [{"id": ""}]}')

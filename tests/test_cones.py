@@ -22,6 +22,7 @@ import radrank.cones
 import radrank.rank
 import radrank.ratlin
 from radrank import (
+    DimensionError,
     GeneratorSet,
     PreconditionError,
     ResourceLimitError,
@@ -147,6 +148,11 @@ class TestIsPositiveBasis:
 
     def test_non_spanning(self):
         assert not is_positive_basis([E1, E2], 2)
+        with pytest.raises(DimensionError, match="differs from ambient"):
+            is_positive_basis([E1, E2, (-1, -1)], 3)
+        # mixed dimensions fail as a GeneratorSet, as in extract_positive_basis
+        with pytest.raises(DimensionError, match="mixed dimensions"):
+            is_positive_basis([E1, (-1,)], 2)
 
 
 class TestExtractPositiveBasis:
@@ -166,6 +172,10 @@ class TestExtractPositiveBasis:
     def test_rejects_non_spanning_input(self):
         with pytest.raises(PreconditionError):
             extract_positive_basis([E1, E2], 2)
+        with pytest.raises(DimensionError, match="differs from ambient"):
+            extract_positive_basis([E1, E2, (-1, -1)], 1)
+        with pytest.raises(DimensionError, match="mixed dimensions"):
+            extract_positive_basis([E1, (-1,)], 2)
 
     def test_zero_dimensional_space_has_the_empty_basis(self):
         empty = GeneratorSet((), ())

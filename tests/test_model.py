@@ -1,6 +1,7 @@
 """Class-data models: membership, enumeration, validation, serialization."""
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -54,14 +55,28 @@ class TestModelConstruction:
     def test_rejects_wrong_vector_length(self):
         with pytest.raises(ValueError):
             Model(2, [("a", (1,))])
+        with pytest.raises(ValueError, match="nonnegative"):
+            Model(-1, [("a", ())])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Model(1, [])
+        for pid in ("", 3):
+            with pytest.raises(ValueError, match="nonempty string"):
+                Model(1, [(pid, (1,))])
 
     def test_accepts_mapping(self):
         m = Model(1, {"a": (1,), "b": (-1,)})
         assert m.ids() == ("a", "b")
+
+    def test_inputs_are_rank_and_primes(self):
+        # the cache is no input: a replaced model enumerates its own V
+        m = gen_d1(4)
+        enumerate_v(m)
+        other = replace(m, primes=gen_d3(4).primes)
+        assert enumerate_v(other) == enumerate_v(gen_d3(4))
+        with pytest.raises(TypeError):
+            Model(1, m.primes, {})
 
     def test_rank_zero_model(self):
         m = Model(0, [("a", ()), ("b", ())])
@@ -94,6 +109,8 @@ class TestVMembership:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             v_membership(gen_d1(4), {"P9"})
+        with pytest.raises(ValueError, match="unknown prime id"):
+            gen_d1(4).vector("P9")
 
     def test_empty_support(self):
         with pytest.raises(ValueError):

@@ -117,31 +117,48 @@ def test_cube():
     assert recover_rank(m) == validate(m).linear_rank == 4
 
 
-def test_cyclic_8_4():
-    ts = range(8)
+@pytest.mark.parametrize(
+    "n, d, sizes",
+    [
+        # members by size: complements of the facets, ..., of the vertices
+        # and of the empty face, from the cyclic polytope's h-vector
+        (8, 4, [(4, 20), (5, 40), (6, 28), (7, 8), (8, 1)]),
+        (12, 4, [(8, 54), (9, 108), (10, 66), (11, 12), (12, 1)]),
+        (12, 6, [(6, 112), (7, 336), (8, 390), (9, 220), (10, 66), (11, 12), (12, 1)]),
+    ],
+    ids=["8-4", "12-4", "12-6"],
+)
+def test_cyclic(n, d, sizes):
+    ts = range(n)
     ids = [f"t{t}" for t in ts]
-    m = gale_dual(ids, [(t, t**2, t**3, t**4) for t in ts])
-    # Gale's evenness condition: a 4-set is a facet iff an even number of
+    m = gale_dual(ids, [tuple(t**k for k in range(1, d + 1)) for t in ts])
+    # Gale's evenness condition: a d-set is a facet iff an even number of
     # its points lies between any two points off it
     facets = {
         frozenset(ids[t] for t in face)
-        for face in combinations(ts, 4)
+        for face in combinations(ts, d)
         if all(
             sum(i < t < j for t in face) % 2 == 0
             for i, j in combinations(sorted(set(ts) - set(face)), 2)
         )
     }
+    # the polytope is simplicial, so its faces are the subsets of its facets
+    faces = {
+        frozenset(face)
+        for facet in facets
+        for k in range(d + 1)
+        for face in combinations(facet, k)
+    }
     v = members(m)
-    # complements of the empty face, the 8 vertices, the 28 edges (every
-    # pair is one: C(8, 4) is neighbourly), the 40 2-faces and the 20 facets
-    assert sorted(Counter(map(len, v)).items()) == [(4, 20), (5, 40), (6, 28), (7, 8), (8, 1)]
-    assert len(v) == 97
-    assert {s for s in v if len(s) >= 6} == {
-        frozenset(s) for k in (6, 7, 8) for s in combinations(ids, k)
+    assert v == {frozenset(ids) - face for face in faces}
+    assert sorted(Counter(map(len, v)).items()) == sizes
+    # C(n, d) is d/2-neighbourly: every set of at most d/2 points is a face
+    assert {s for s in v if len(s) >= n - d // 2} == {
+        frozenset(s) for k in range(n - d // 2, n + 1) for s in combinations(ids, k)
     }
     assert minimal(v) == {frozenset(ids) - face for face in facets}
-    assert len(facets) == 20
-    assert recover_rank(m) == validate(m).linear_rank == 3
-    # equal rank and prime count, yet no bijection carries V onto V
-    assert recover_rank(cross(4)) == 3
-    assert find_iso(cross(4), m) is None
+    assert recover_rank(m) == validate(m).linear_rank == n - d - 1
+    if d == n // 2:
+        # equal rank and prime count, yet no bijection carries V onto V
+        assert recover_rank(cross(d)) == n - d - 1
+        assert find_iso(cross(d), m) is None

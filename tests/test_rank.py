@@ -199,6 +199,11 @@ class TestReayChain:
         )
         assert chain.cardinality == 2
         assert chain.blocks == (frozenset({"a"}), frozenset({"b", "c"}))
+        # lists and sets are frozen, so compared as sets and hashable
+        chain = ReayChain(([], ["b"], {"a", "b"}))
+        assert chain.subsets == (frozenset(), frozenset({"b"}), frozenset({"a", "b"}))
+        assert chain.blocks == (frozenset({"b"}), frozenset({"a"}))
+        assert hash(chain) == hash(ReayChain(chain.subsets))
 
 
 class TestMaxReayChain:

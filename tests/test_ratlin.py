@@ -134,6 +134,8 @@ class TestStrictZeroCombination:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             strict_zero_combination([])
+        with pytest.raises(DimensionError):
+            strict_zero_combination([(1,), (-1, 0)])
 
     def test_matches_elimination_oracle(self):
         rng = fresh_rng(salt=11)
@@ -248,6 +250,7 @@ class TestPositiveCircuit:
         assert circuit([(F(1, 3),), (F(-1, 2),)]) == (3, 2)
         assert circuit([(1,), (2,)]) is None  # one-signed kernel fails
         assert circuit([(1, 0), (0, 1)]) is None  # nullity 0
+        assert positive_circuit([]) is None  # no columns
         assert circuit([(1, 0), (0, 1), (-1, -1)]) == (1, 1, 1)
         assert circuit([(1, 0), (0, 1), (-1, 0)]) is None  # zero kernel entry
         assert circuit([(0, 0)]) == (1,)  # a zero vector vanishes alone
@@ -452,6 +455,8 @@ class TestLinearRank:
 
     def test_empty(self):
         assert linear_rank([]) == 0
+        with pytest.raises(DimensionError):
+            linear_rank([(), (1,)])
 
     def test_agrees_with_transposed_echelon(self):
         rng = fresh_rng(salt=12)
@@ -529,6 +534,8 @@ class TestSmithNormalForm:
         # the zero row is what claborn_model normalizes without relations
         for width in range(1, 6):
             assert self._check_factorization([[0] * width]) == [0]
+        with pytest.raises(DimensionError):
+            smith_normal_form([[1, 2], [3]])
 
     def test_single_row_and_single_column(self):
         rng = fresh_rng(salt=17)
@@ -552,7 +559,11 @@ class TestSerialization:
         assert parse_rational("-3/6") == F(-1, 2)
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "1/0", "1.5", "a", "1/-2", " 1", None):
+        # the whole string, in ASCII digits: no final newline, no other digits
+        for bad in (
+            "", "1/0", "1.5", "a", "1/-2", " 1", None,
+            "7\n", "1/2\n", "\u0663", "\uff11/\uff12",
+        ):
             with pytest.raises(ValueError):
                 parse_rational(bad)
 

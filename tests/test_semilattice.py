@@ -7,7 +7,9 @@ import pytest
 
 from modelgen import (
     fresh_rng,
+    random_invertible_matrix,
     random_model,
+    random_positive_scales,
     random_spanning_model,
     relabeled,
     zero_model,
@@ -22,6 +24,7 @@ from oracles import (
     union_failures,
 )
 from radrank import (
+    Model,
     PreconditionError,
     StructureError,
     divides,
@@ -39,8 +42,10 @@ from radrank import (
     product_coprime_supports,
     recover_rank,
     theta,
+    transform,
     validate,
 )
+from radrank.model import v_circuits
 
 
 def torsion(n):
@@ -319,6 +324,33 @@ class TestFindIso:
 
     def test_family_size_mismatch(self):
         assert find_iso(torsion(3), gen_d1(3)) is None
+
+    def test_exhaustive_search_finds_none(self):
+        # both positively span and are witness-rich, with |V| = 441, 36
+        # circuits and equal sorted circuit signatures: only the backtrack
+        # over every candidate map tells them apart
+        a = [(0, 3, 1), (-3, 3, 2), (2, 1, -1), (-1, 3, 1), (0, -2, -1),
+             (-3, -2, -1), (2, -1, 3), (2, 0, -1), (1, 0, 0), (-3, -1, -2)]
+        b = [(2, 3, 2), (-3, -3, 3), (2, -1, 1), (-1, 1, -2), (0, -2, -1),
+             (0, -1, -2), (1, -3, 0), (1, -1, 3), (-2, 2, 2), (3, 1, 1)]
+        ma = Model(3, [(f"a{i}", v) for i, v in enumerate(a)])
+        mb = Model(3, [(f"b{i}", v) for i, v in enumerate(b)])
+        assert len(enumerate_v(ma)) == len(enumerate_v(mb)) == 441
+        assert len(v_circuits(ma)) == len(v_circuits(mb)) == 36
+        assert find_iso(ma, mb) is None
+        assert iso_by_images(enumerate_v(ma), ma.ids(), enumerate_v(mb), mb.ids()) is None
+        rng = fresh_rng(salt=47)
+        for m in (ma, mb):
+            names = [f"q{i}" for i in range(10)]
+            rng.shuffle(names)
+            other = transform(
+                relabeled(m, dict(zip(m.ids(), names))),
+                random_invertible_matrix(rng, 3),
+                random_positive_scales(rng, names),
+            )
+            eta = find_iso(m, other)
+            assert eta is not None
+            assert {frozenset(map(eta.get, s)) for s in enumerate_v(m)} == set(enumerate_v(other))
 
     def test_lex_least_on_symmetric_model(self):
         m = torsion(3)
