@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .model import Model
 from .ratlin import smith_normal_form
@@ -28,9 +29,9 @@ class RelationSet:
     relations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.generators < 1:
+        if index(self.generators) < 1:
             raise ValueError("at least one generator is required")
-        rows = tuple(tuple(int(x) for x in row) for row in self.relations)
+        rows = tuple(tuple(map(index, row)) for row in self.relations)
         for row in rows:
             if len(row) != self.generators:
                 raise ValueError(

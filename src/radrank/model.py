@@ -53,28 +53,28 @@ class Model:
     _ids: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.ambient_rank < 0:
-            raise ValueError("ambient rank must be nonnegative")
+        r = self.ambient_rank
+        if not isinstance(r, int) or isinstance(r, bool) or r < 0:
+            raise ValueError("ambient_rank: expected a nonnegative integer")
         items = (
             list(self.primes.items())
             if isinstance(self.primes, Mapping)
             else list(self.primes)
         )
         if not items:
-            raise ValueError("a model needs at least one prime")
+            raise ValueError("primes: expected a nonempty array")
         seen = set()
         cleaned = []
-        for pid, coords in items:
+        for i, (pid, coords) in enumerate(items):
             if not isinstance(pid, str) or not pid:
-                raise ValueError(f"prime id must be a nonempty string, got {pid!r}")
+                raise ValueError(f"primes[{i}].id: expected a nonempty string")
             if pid in seen:
                 raise ValueError(f"duplicate prime id {pid!r}")
             seen.add(pid)
             v = vec(coords)
-            if len(v) != self.ambient_rank:
+            if len(v) != r:
                 raise ValueError(
-                    f"class vector for {pid!r} has length {len(v)}, "
-                    f"expected {self.ambient_rank}"
+                    f"primes[{i}].class: expected {r} entries, got {len(v)}"
                 )
             cleaned.append((pid, v))
         cleaned.sort(key=lambda item: item[0])
@@ -265,37 +265,29 @@ def model_to_dict(m: Model) -> dict:
 
 
 def model_from_dict(data: object) -> Model:
+    """The model a parsed document holds.  Only its shape is checked here;
+    `Model` checks the values, so a shape fault is found first."""
     if not isinstance(data, dict):
         raise ModelFormatError("model document must be a JSON object")
     if "ambient_rank" not in data:
         raise ModelFormatError("missing field: ambient_rank")
-    rank = data["ambient_rank"]
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
-        raise ModelFormatError("ambient_rank: expected a nonnegative integer")
     entries = data.get("primes")
-    if not isinstance(entries, list) or not entries:
+    if not isinstance(entries, list):
         raise ModelFormatError("primes: expected a nonempty array")
     pairs = []
     for i, entry in enumerate(entries):
         where = f"primes[{i}]"
         if not isinstance(entry, dict):
             raise ModelFormatError(f"{where}: expected an object")
-        pid = entry.get("id")
-        if not isinstance(pid, str) or not pid:
-            raise ModelFormatError(f"{where}.id: expected a nonempty string")
         coords = entry.get("class")
         if not isinstance(coords, list):
             raise ModelFormatError(f"{where}.class: expected an array")
-        if len(coords) != rank:
-            raise ModelFormatError(
-                f"{where}.class: expected {rank} entries, got {len(coords)}"
-            )
         try:
-            pairs.append((pid, parse_vector(coords)))
+            pairs.append((entry.get("id"), parse_vector(coords)))
         except ValueError as exc:
             raise ModelFormatError(f"{where}.class{exc}") from None
     try:
-        return Model(rank, tuple(pairs))
+        return Model(data["ambient_rank"], tuple(pairs))
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
 
@@ -362,5 +354,6 @@ def load_model(path: str) -> Model:
 
 
 def save_model(m: Model, path: str) -> None:
+    text = dumps_model(m)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_model(m))
+        handle.write(text)

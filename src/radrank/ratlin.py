@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import index
 from typing import Optional, Sequence
 
 from .errors import DimensionError
@@ -343,7 +344,7 @@ def smith_normal_form(
     """
     m = len(matrix)
     k = len(matrix[0]) if m else 0
-    a = [[int(x) for x in row] for row in matrix]
+    a = [list(map(index, row)) for row in matrix]
     for row in a:
         if len(row) != k:
             raise DimensionError("matrix rows have mixed widths")

@@ -34,6 +34,14 @@ class TestRelationSet:
         rel = RelationSet(2, [[1, 0]])
         assert rel.relations == ((1, 0),)
 
+    @pytest.mark.parametrize(
+        "generators,relations",
+        [(2, ((1.5, 1),)), (2, ((F(1, 2), 1),)), (2, (("7", 1),)), (2.0, ())],
+    )
+    def test_non_integers_are_refused_not_truncated(self, generators, relations):
+        with pytest.raises(TypeError):
+            RelationSet(generators, relations)
+
 
 class TestPrimeName:
     def test_single_digit_run(self):

@@ -401,7 +401,7 @@ class TestErrorsAndDiagnostics:
 
     def test_names_the_malformed_model_file(self, capsys, tmp_path, d1_file):
         path = tmp_path / "bad.json"
-        path.write_text('{"ambient_rank": 0, "primes": [{"id": ""}]}')
+        path.write_text('{"ambient_rank": 0, "primes": [{"id": "", "class": []}]}')
         code, out, err = run(capsys, "iso", d1_file, str(path))
         assert code == 2
         assert out == ""

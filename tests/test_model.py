@@ -1,5 +1,6 @@
 """Class-data models: membership, enumeration, validation, serialization."""
 
+import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -15,6 +16,7 @@ from modelgen import (
     zero_model,
 )
 from oracles import decision_pairs, int_exponent_zero, minimal_members, v_by_lp
+import radrank.cli
 import radrank.model
 import radrank.ratlin
 from radrank import (
@@ -449,6 +451,18 @@ class TestSerialization:
         for _ in range(20):
             m = random_model(rng, 3, 6)
             assert loads_model(dumps_model(m)) == m
+        for m in (Model(0, [("a", ())]), Model(1, {"b": (F(1, 2),), "a": (-3,)})):
+            assert loads_model(dumps_model(m)) == m
+
+    def test_failed_save_keeps_the_file(self, tmp_path):
+        # the class entry has more digits than str() may write, so dumping
+        # fails, and must fail before the target is opened
+        path = tmp_path / "model.json"
+        path.write_text("old\n")
+        m = Model(1, [("a", (F(10**5000),)), ("b", (-1,))])
+        with pytest.raises(ValueError):
+            save_model(m, str(path))
+        assert path.read_text() == "old\n"
 
     def test_file_round_trip(self, tmp_path):
         m = gen_d2(4)
@@ -534,3 +548,85 @@ class TestSerialization:
         )
         with pytest.raises(ModelFormatError):
             loads_model(doc)
+
+
+_A = {"id": "a", "class": ["1"]}
+_B = {"id": "b", "class": ["-1"]}
+
+
+def _doc(rank=1, primes=None):
+    return {"ambient_rank": rank, "primes": [_A, _B] if primes is None else primes}
+
+
+_ID_FAULT = "primes[{}].id: expected a nonempty string"
+
+
+# Model files with one fault each: (document, loads_model's message, and the
+# same fault as `Model` arguments, or None for a fault of the file's shape).
+FAULTS = [
+    (_doc(-1), "ambient_rank: expected a nonnegative integer", (-1, [("a", (1,))])),
+    (_doc(1.0), "ambient_rank: expected a nonnegative integer", (1.0, [("a", (1,))])),
+    (_doc(True), "ambient_rank: expected a nonnegative integer", (True, [("a", (1,))])),
+    (_doc("1"), "ambient_rank: expected a nonnegative integer", ("1", [("a", (1,))])),
+    ({"primes": [_A, _B]}, "missing field: ambient_rank", None),
+    (_doc(1, []), "primes: expected a nonempty array", (1, [])),
+    ({"ambient_rank": 1, "primes": {}}, "primes: expected a nonempty array", None),
+    (_doc(1, [5]), "primes[0]: expected an object", None),
+    (_doc(1, [{"id": "", "class": ["1"]}, _B]), _ID_FAULT.format(0), (1, [("", (1,)), ("b", (-1,))])),
+    (_doc(1, [{"id": 3, "class": ["1"]}, _B]), _ID_FAULT.format(0), (1, [(3, (1,)), ("b", (-1,))])),
+    (_doc(1, [_A, {"id": [], "class": ["1"]}]), _ID_FAULT.format(1), (1, [("a", (1,)), ([], (1,))])),
+    (_doc(1, [{"class": ["1"]}, _B]), _ID_FAULT.format(0), (1, [(None, (1,)), ("b", (-1,))])),
+    (
+        _doc(1, [_A, {"id": "a", "class": ["-1"]}]),
+        "duplicate prime id 'a'",
+        (1, [("a", (1,)), ("a", (-1,))]),
+    ),
+    (_doc(1, [{"id": "a"}, _B]), "primes[0].class: expected an array", None),
+    (
+        _doc(1, [{"id": "a", "class": ["1", "2"]}, _B]),
+        "primes[0].class: expected 1 entries, got 2",
+        (1, [("a", (1, 2)), ("b", (-1,))]),
+    ),
+    (
+        _doc(1, [_A, {"id": "b", "class": ["1", "2"]}]),
+        "primes[1].class: expected 1 entries, got 2",
+        (1, [("a", (1,)), ("b", (1, 2))]),
+    ),
+    (
+        _doc(1, [_A, {"id": "b", "class": ["x"]}]),
+        "primes[1].class[0]: invalid rational literal: 'x'",
+        None,
+    ),
+    (
+        _doc(1, [_A, {"id": "b", "class": ["1/0"]}]),
+        "primes[1].class[0]: zero denominator: '1/0'",
+        None,
+    ),
+    (
+        _doc(2**70),
+        "primes[0].class: expected 1180591620717411303424 entries, got 1",
+        (2**70, [("a", (1,)), ("b", (-1,))]),
+    ),
+]
+
+
+@pytest.mark.parametrize("doc,message,args", FAULTS)
+def test_one_fault_one_message(doc, message, args, tmp_path, capsys):
+    # the loader, the CLI and `Model` give a value fault the same text
+    with pytest.raises(ModelFormatError) as err:
+        loads_model(json.dumps(doc))
+    assert str(err.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert radrank.cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    if args is not None:
+        with pytest.raises(ValueError) as err:
+            Model(*args)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("rank", [1.0, True, F(1)])
+def test_model_refuses_a_rank_that_only_equals_an_int(rank):
+    with pytest.raises(ValueError, match="^ambient_rank: expected a nonnegative integer$"):
+        Model(rank, [("a", (1,)), ("b", (-1,))])

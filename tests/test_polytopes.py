@@ -162,3 +162,67 @@ def test_cyclic(n, d, sizes):
         # equal rank and prime count, yet no bijection carries V onto V
         assert recover_rank(cross(d)) == n - d - 1
         assert find_iso(cross(d), m) is None
+
+
+def simplex(a):
+    """The a-simplex's vertices in R^a: the origin and the unit vectors."""
+    return [tuple(int(i == j + 1) for j in range(a)) for i in range(a + 1)]
+
+
+def simplex_faces(a):
+    """The a-simplex's nonempty faces: every nonempty set of its vertices."""
+    return [set(s) for k in range(1, a + 2) for s in combinations(range(a + 1), k)]
+
+
+def product_model(points_a, faces_a, points_b, faces_b):
+    """The Gale dual of the product of two polytopes, each given by its
+    vertices and its nonempty faces, and the complements of the product's
+    proper faces: the empty face and F x G for nonempty faces F and G, the
+    whole excepted.  Vertex (i, j) is the prime v<i><j>."""
+    grid = list(product(range(len(points_a)), range(len(points_b))))
+    ids = [f"v{i}{j}" for i, j in grid]
+    m = gale_dual(ids, [points_a[i] + points_b[j] for i, j in grid])
+    faces = {frozenset()} | {
+        frozenset(f"v{i}{j}" for i in f for j in g) for f in faces_a for g in faces_b
+    }
+    return m, {frozenset(ids) - face for face in faces} - {frozenset()}
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 2), (1, 3), (1, 4), (2, 3), (1, 5)])
+def test_product_of_simplices(a, b):
+    m, complements = product_model(simplex(a), simplex_faces(a), simplex(b), simplex_faces(b))
+    v = members(m)
+    assert v == complements
+    assert len(v) == (2 ** (a + 1) - 1) * (2 ** (b + 1) - 1)
+    # the facets drop one vertex of a factor, so their complements are the
+    # rows and the columns of the vertex grid
+    rows = {frozenset(f"v{i}{j}" for j in range(b + 1)) for i in range(a + 1)}
+    columns = {frozenset(f"v{i}{j}" for i in range(a + 1)) for j in range(b + 1)}
+    assert minimal(v) == rows | columns
+    assert len(rows | columns) == a + b + 2
+    report = validate(m)
+    assert recover_rank(m) == report.linear_rank == a * b
+    assert report.witness_rich
+    if (a, b) == (1, 5):
+        # both have 12 primes and rank 5, yet V differs
+        assert recover_rank(cross(6)) == 5
+        assert find_iso(cross(6), m) is None
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_prism(k):
+    # the k-gon's vertices lie on a parabola; its edges join neighbours and
+    # the two ends
+    polygon = [(t, t * t) for t in range(k)]
+    edges = [{t, (t + 1) % k} for t in range(k)]
+    polygon_faces = [{t} for t in range(k)] + edges + [set(range(k))]
+    m, complements = product_model(polygon, polygon_faces, simplex(1), simplex_faces(1))
+    v = members(m)
+    assert v == complements
+    assert len(v) == 3 * (2 * k + 1)
+    # facets: the two k-gons, and each edge times the segment
+    bases = {frozenset(f"v{t}{h}" for t in range(k)) for h in (0, 1)}
+    sides = {frozenset(f"v{t}{h}" for t in range(k) if t not in e for h in (0, 1)) for e in edges}
+    assert minimal(v) == bases | sides
+    assert len(bases | sides) == k + 2
+    assert recover_rank(m) == validate(m).linear_rank == 2 * k - 4

@@ -537,6 +537,11 @@ class TestSmithNormalForm:
         with pytest.raises(DimensionError):
             smith_normal_form([[1, 2], [3]])
 
+    def test_non_integer_entries_are_refused(self):
+        for bad in (1.5, F(1, 2), "7"):
+            with pytest.raises(TypeError):
+                smith_normal_form([[bad, 0], [0, 2]])
+
     def test_single_row_and_single_column(self):
         rng = fresh_rng(salt=17)
         for k in range(1, 7):
